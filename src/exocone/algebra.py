@@ -46,6 +46,18 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap terms as they are, without checks or a copy.
+
+        The caller guarantees that every key is a tuple of nvars
+        nonnegative ints and every coefficient is nonzero.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars)
 
@@ -406,7 +418,11 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries: dict) -> "Matrix":
-        """Build from a {(i, j): value} dict, 0-based, zeros elsewhere."""
+        """Build from a {(i, j): value} dict, 0-based, zeros elsewhere;
+        raises on a key outside the shape instead of dropping it."""
+        for i, j in entries:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry {(i, j)} outside {nrows} x {ncols}")
         return cls(
             [
                 [entries.get((i, j), 0) for j in range(ncols)]

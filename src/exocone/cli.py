@@ -92,6 +92,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    marked = args.lam is not None or args.marks is not None
+    if marked and (args.mu is not None or args.nu is not None):
+        raise ValueError("convert takes --lambda/--a or --mu/--nu, not both")
     if args.lam is not None:
         mp = _marked_from_args(args)
         bp = to_bipartition(mp)
@@ -160,6 +163,8 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    if args.lam is not None and args.n is not None:
+        raise ValueError("dim takes --lambda or --n, not both")
     if args.lam is not None:
         value = orbit_dim(_marked_from_args(args))
     elif args.n is not None:

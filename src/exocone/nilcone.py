@@ -97,15 +97,45 @@ class ExoticVector:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ExoticVector":
-        n = data["n"]
-        x1 = [Fraction(c) for c in data["x1"]]
+    def from_json(cls, data) -> "ExoticVector":
+        """Parse the :meth:`to_json` form, raising ValueError on any other
+        shape: x2_upper lists [i, j, value] with 1 <= i < j <= 2n, each
+        pair at most once."""
+        if not isinstance(data, dict):
+            raise ValueError("an exotic vector must be a JSON object")
+        for key in ("n", "x1", "x2_upper"):
+            if key not in data:
+                raise ValueError(f"exotic vector has no {key!r}")
+        n, x1, upper = data["n"], data["x1"], data["x2_upper"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        if not isinstance(x1, list) or len(x1) != 2 * n:
+            raise ValueError(f"x1 must be a list of {2 * n} numbers")
+        if not isinstance(upper, list):
+            raise ValueError("x2_upper must be a list")
         ent = {}
-        for i, j, c in data["x2_upper"]:
-            c = Fraction(c)
+        for item in upper:
+            if not isinstance(item, list) or len(item) != 3:
+                raise ValueError(f"x2_upper entry {item!r} is not [i, j, c]")
+            i, j, c = item
+            if not (type(i) is type(j) is int and 1 <= i < j <= 2 * n):
+                raise ValueError(
+                    f"x2_upper entry {item!r} is outside 1 <= i < j <= {2 * n}"
+                )
+            if (i - 1, j - 1) in ent:
+                raise ValueError(f"x2_upper repeats the pair ({i}, {j})")
+            c = _exact(c)
             ent[(i - 1, j - 1)] = c
             ent[(j - 1, i - 1)] = -c
-        return cls(n, x1, Matrix.from_entries(2 * n, 2 * n, ent))
+        x2 = Matrix.from_entries(2 * n, 2 * n, ent)
+        return cls(n, [_exact(c) for c in x1], x2)
+
+
+def _exact(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{value!r} is not an exact number") from None
 
 
 def weight_vector(n: int, wt: Iterable[int]) -> tuple:
@@ -339,4 +369,6 @@ def orbit_dim(mp: MarkedPartition) -> int:
 
 def cone_dim(n: int) -> int:
     """Dimension of the whole exotic nilpotent cone."""
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
     return 2 * n * n

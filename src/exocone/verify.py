@@ -12,12 +12,21 @@ from math import factorial
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .algebra import Matrix, MultiPoly, perm_sign, pfaffian
+from .algebra import (
+    Matrix,
+    MultiPoly,
+    linear_form,
+    lowest_term,
+    perm_sign,
+    pfaffian,
+    row_reduce,
+)
 from .charp import verify_transport
 from .joseph import (
     Presentation,
     irrep_dim,
     joseph_poly,
+    k_polynomial,
     macdonald_poly,
     macdonald_poly_direct,
     macdonald_span,
@@ -40,7 +49,15 @@ from .partitions import (
     partition_count,
     to_bipartition,
 )
-from .weyl import exotic_weights, is_stable_weight, positive_roots, stable_weights
+from .weyl import (
+    act_on_poly,
+    block_boundaries,
+    exotic_weights,
+    is_stable_weight,
+    positive_roots,
+    stable_weights,
+    weyl_group,
+)
 
 
 class SuiteReport(NamedTuple):
@@ -134,6 +151,48 @@ def _suite_wdlambda(long: bool = False) -> _Checks:
     return c
 
 
+def _root_product(bp: BiPartition) -> MultiPoly:
+    """The block product multiplied out one linear form at a time:
+    (e_k - e_l)(e_k + e_l) for k < l in one flag block, times e_k for every
+    k past the |mu| anchor."""
+    d = block_boundaries(from_bipartition(bp))
+    n = bp.size
+
+    def form(k, l, sign):
+        wt = [0] * n
+        wt[k - 1], wt[l - 1] = 1, sign
+        return linear_form(wt)
+
+    f = MultiPoly.one(n)
+    for b in range(len(d) - 1):
+        for k in range(d[b] + 1, d[b + 1] + 1):
+            for l in range(k + 1, d[b + 1] + 1):
+                f = f * form(k, l, -1) * form(k, l, 1)
+    for k in range(bp.mu.size + 1, n + 1):
+        f = f * MultiPoly.variable(k, n)
+    return f
+
+
+def _full_group_span(seed: MultiPoly, n: int) -> list[MultiPoly]:
+    """Reduced echelon basis of the span of all 2^n n! Weyl images of
+    seed, from one row reduction over every image."""
+    images = [act_on_poly(w, seed) for w in weyl_group(n)]
+    monomials = sorted(
+        {e for f in images for e in f.terms},
+        key=lambda e: (sum(e), e),
+        reverse=True,
+    )
+    if not monomials:
+        return []
+    red, pivots = row_reduce(
+        Matrix([[f.terms.get(e, 0) for e in monomials] for f in images])
+    )
+    return [
+        MultiPoly(n, {m: c for m, c in zip(monomials, red.rows[r]) if c})
+        for r in range(len(pivots))
+    ]
+
+
 def _suite_degree(long: bool = False) -> _Checks:
     c = _Checks()
     for n in range(9):
@@ -146,6 +205,49 @@ def _suite_degree(long: bool = False) -> _Checks:
                 ok = False
             count += 1
         c.add(f"degree law n={n}", ok, f"{count} orbits")
+    for n in range(6):
+        bps = list(bipartitions(n))
+        ok = all(macdonald_poly(bp) == _root_product(bp) for bp in bps)
+        c.add(
+            f"block product equals root product n={n}",
+            ok,
+            f"{len(bps)} bi-partitions",
+        )
+    for n in range(1, 4):
+        ambient = exotic_weights(n)
+        cells = [
+            Presentation(ambient, stable_weights(mp))
+            for mp in marked_partitions(n)
+        ]
+        cells.append(Presentation(positive_roots(n)))
+        ok = all(joseph_poly(p) == lowest_term(k_polynomial(p)) for p in cells)
+        c.add(
+            f"joseph poly equals lowest K-term n={n}",
+            ok,
+            f"{len(cells) - 1} exotic presentations + ordinary sign cell",
+        )
+    # a block product is an eigenvector of every sign flip, so its span
+    # under the permutations alone is already complete; adding 1 to the
+    # translate gives seeds that need the sign-flip reflection as well
+    rng = random.Random(20261018)
+    for n in range(5):
+        group = weyl_group(n)
+        seeds = []
+        for bp in bipartitions(n):
+            seed = act_on_poly(rng.choice(group), macdonald_poly(bp))
+            seeds.append(seed)
+            if n <= 3:
+                seeds.append(seed + 1)
+        ok = True
+        for seed in seeds:
+            full = _full_group_span(seed, n)
+            if macdonald_span(seed, n) != (len(full), full):
+                ok = False
+        c.add(
+            f"saturated span equals full-group span n={n}",
+            ok,
+            f"{len(seeds)} seeds x {len(group)} group elements",
+        )
     return c
 
 

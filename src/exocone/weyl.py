@@ -168,7 +168,8 @@ def act_on_poly(w: SignedPermutation, f: MultiPoly) -> MultiPoly:
             if v < 0 and e % 2:
                 sign = -sign
         data[tuple(new)] = sign * c
-    return MultiPoly(f.nvars, data)
+    # a signed permutation maps distinct monomials to distinct monomials
+    return MultiPoly._trusted(f.nvars, data)
 
 
 def exotic_weights(n: int) -> tuple[Weight, ...]:

@@ -155,6 +155,13 @@ def test_matrix_arithmetic():
     assert a.apply((1, 0)) == (1, 3)
 
 
+def test_matrix_from_entries_rejects_keys_outside_the_shape():
+    assert Matrix.from_entries(2, 2, {(0, 1): 5}) == Matrix([[0, 5], [0, 0]])
+    for key in ((0, 2), (2, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            Matrix.from_entries(2, 2, {key: 1})
+
+
 def test_matrix_det_and_pfaffian():
     rng = random.Random(11)
     for size in (2, 4, 6):

@@ -53,6 +53,22 @@ def test_convert_requires_a_side(capsys):
     assert "either --lambda/--a or --mu/--nu" in err
 
 
+def _one_line_error(code, out, err):
+    lines = err.strip().splitlines()
+    return (code, out, len(lines)) == (2, "", 1) and lines[0].startswith(
+        "error: "
+    )
+
+
+def test_convert_rejects_both_sides(capsys):
+    for argv in (
+        ("--lambda", "1", "--a", "1", "--mu", "1"),
+        ("--lambda", "1", "--nu", "1"),
+        ("--a", "1", "--mu", "1"),
+    ):
+        assert _one_line_error(*run(capsys, "convert", *argv))
+
+
 def test_dpoly(capsys):
     code, out, _ = run(capsys, "dpoly", "--mu", "1,1", "--nu", "")
     assert (code, out) == (0, "e1^2 - e2^2\n")
@@ -89,6 +105,25 @@ def test_dim_rejects_bad_mark(capsys):
     code, _, err = run(capsys, "dim", "--lambda", "2", "--a", "3")
     assert code == 2
     assert "mark 3 out of range for part 2" in err
+
+
+def test_dim_rejects_bad_rank(capsys):
+    assert _one_line_error(*run(capsys, "dim", "--n", "-1"))
+    assert _one_line_error(*run(capsys, "dim", "--lambda", "2", "--n", "2"))
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        '{"n": 1}',
+        "[1]",
+        '{"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 5, "1"]]}',
+        "not json",
+    ],
+)
+def test_invariant_rejects_bad_input(capsys, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert _one_line_error(*run(capsys, "invariant"))
 
 
 def test_special(capsys):

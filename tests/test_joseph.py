@@ -1,5 +1,6 @@
 """K-polynomials, Joseph polynomials, and Macdonald representations."""
 
+import random
 from math import factorial
 
 import pytest
@@ -8,12 +9,15 @@ from exocone import (
     LaurentChar,
     MultiPoly,
     Presentation,
+    act_on_poly,
     bipartition,
     bipartitions,
     exotic_weights,
     irrep_dim,
+    joseph,
     joseph_poly,
     k_polynomial,
+    lowest_term,
     macdonald_poly,
     macdonald_poly_direct,
     macdonald_span,
@@ -21,8 +25,11 @@ from exocone import (
     orbit_dim,
     positive_roots,
     sign_flip_symmetry,
+    stable_weights,
     to_bipartition,
+    weyl_group,
 )
+from exocone.verify import _full_group_span, _root_product
 
 
 def poly2(terms):
@@ -177,3 +184,82 @@ def test_sign_flip_symmetry_classifies_unmarked_types():
                 assert sign_flip_symmetry(f) == "invariant"
             if not bp.mu:
                 assert sign_flip_symmetry(f) == "anti_invariant"
+
+
+def test_macdonald_poly_is_a_product_of_roots():
+    for n in range(4):
+        for bp in bipartitions(n):
+            assert macdonald_poly(bp) == _root_product(bp)
+    # blocks of size one: no roots, only the variables past the anchor
+    assert macdonald_poly(bipartition((3,), ())) == MultiPoly.one(3)
+    assert macdonald_poly(bipartition((), (3,))) == MultiPoly(
+        3, {(1, 1, 1): 1}
+    )
+    assert macdonald_poly_direct((1, 1), (1,)) == MultiPoly(
+        3, {(0, 0, 1): 1}
+    )
+
+
+def _random_presentations(rng, n, count):
+    ambient = rng.choice((exotic_weights(n), positive_roots(n)))
+    for _ in range(count):
+        span = rng.sample(ambient, rng.randint(0, len(ambient)))
+        # equations may repeat each other or a missing weight
+        eqs = [
+            rng.choice(ambient) for _ in range(rng.randint(0, len(span)))
+        ]
+        yield Presentation(ambient, span, eqs)
+
+
+def test_joseph_poly_is_the_lowest_k_term():
+    rng = random.Random(7)
+    cells = [p for n in (1, 2, 3) for p in _random_presentations(rng, n, 12)]
+    for n in (1, 2):
+        ambient = exotic_weights(n)
+        cells += [
+            Presentation(ambient, stable_weights(mp))
+            for mp in marked_partitions(n)
+        ]
+        cells.append(Presentation(positive_roots(n)))
+    cells.append(
+        Presentation(positive_roots(2), ((2, 0), (0, 2), (1, 1)), ((2, 2),))
+    )
+    assert any(p.equations for p in cells)
+    for p in cells:
+        assert joseph_poly(p) == lowest_term(k_polynomial(p)), p
+
+
+def test_joseph_poly_of_a_full_span_is_one():
+    for n in (1, 2, 3):
+        for ambient in (exotic_weights(n), positive_roots(n)):
+            assert joseph_poly(Presentation(ambient, ambient)) == (
+                MultiPoly.one(n)
+            )
+
+
+def test_saturated_span_equals_full_group_span():
+    rng = random.Random(11)
+    for n in range(4):
+        group = weyl_group(n)
+        for bp in bipartitions(n):
+            seed = act_on_poly(rng.choice(group), macdonald_poly(bp))
+            full = _full_group_span(seed, n)
+            assert macdonald_span(seed, n) == (len(full), full)
+    assert macdonald_span(MultiPoly.one(0), 0) == (1, [MultiPoly.one(0)])
+    assert macdonald_span(MultiPoly.zero(2), 2) == (0, [])
+    mixed = MultiPoly(2, {(1, 0): 3, (0, 0): 1})
+    assert macdonald_span(mixed, 2) == (3, _full_group_span(mixed, 2))
+
+
+def test_span_moves_each_basis_member_once(monkeypatch):
+    images = []
+
+    def counted(w, f):
+        images.append(w)
+        return act_on_poly(w, f)
+
+    monkeypatch.setattr(joseph, "act_on_poly", counted)
+    for bp in bipartitions(4):
+        images.clear()
+        dim, _ = macdonald_span(macdonald_poly(bp), 4)
+        assert len(images) == 4 * dim

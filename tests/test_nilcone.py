@@ -226,6 +226,39 @@ def test_exotic_vector_validation():
         ExoticVector(1, (0, 0), Matrix([[0, 1], [1, 0]]))  # not alternating
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1],
+        "n",
+        {"n": 1},
+        {"x1": ["0", "0"], "x2_upper": []},
+        {"n": 1, "x2_upper": []},
+        {"n": 1, "x1": ["0", "0"]},
+        {"n": -1, "x1": [], "x2_upper": []},
+        {"n": "1", "x1": ["0", "0"], "x2_upper": []},
+        {"n": 1, "x1": ["0"], "x2_upper": []},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 5, "1"]]},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[2, 1, "1"]]},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[0, 1, "1"]]},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 2]]},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 2, "1"], [1, 2, "2"]]},
+        {"n": 1, "x1": ["0", "x"], "x2_upper": []},
+        {"n": 1, "x1": ["0", "1/0"], "x2_upper": []},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 2, None]]},
+    ],
+)
+def test_exotic_vector_from_json_rejects_bad_input(data):
+    with pytest.raises(ValueError):
+        ExoticVector.from_json(data)
+
+
+def test_cone_dim_rejects_negative_rank():
+    assert cone_dim(0) == 0
+    with pytest.raises(ValueError):
+        cone_dim(-1)
+
+
 def test_weight_vector_and_matrix():
     assert weight_vector(2, (1, 0)) == (1, 0, 0, 0)
     assert weight_vector(2, (0, -1)) == (0, 0, 0, 1)
