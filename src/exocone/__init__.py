@@ -18,6 +18,7 @@ from .algebra import (
     Matrix,
     MultiPoly,
     graded_pieces,
+    is_nilpotent,
     jordan_type,
     kernel_basis,
     linear_form,

@@ -524,9 +524,12 @@ class Matrix:
 
 
 def _dot(row, col):
+    # zero entries are skipped, as in _det (powers of the sparse
+    # endomorphisms are mostly zeros); an empty sum is the int 0
     total = 0
     for a, b in zip(row, col):
-        total = total + a * b
+        if a and b:
+            total = total + a * b
     return total
 
 
@@ -669,6 +672,15 @@ def solve_linear(m: Matrix, rhs) -> tuple[tuple, list[tuple]] | None:
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][-1]
     return tuple(particular), kernel_basis(m)
+
+
+def is_nilpotent(m: Matrix) -> bool:
+    """Whether the square matrix m is nilpotent, i.e. m^size == 0.
+
+    Needs only ring operations, so it works over the rationals and over
+    finite-field entries alike; a size-0 matrix is nilpotent.
+    """
+    return (m ** m.nrows).is_zero()
 
 
 def jordan_type(m: Matrix):

@@ -3,16 +3,18 @@
 Over a field of characteristic two, squaring is a bijection, so the map
 (x1, x2) -> x1 * transpose(x1) + x2 identifies the exotic representation
 space with the symmetric matrices, i.e. with the Lie algebra of the
-symplectic group.  This module checks at the level of points that the map
-is bijective and carries the zero locus of the defining equations onto the
-ad-nilpotent locus.
+symplectic group.  This module checks at the level of points, in one pass
+over the exotic space, that the map is bijective and carries the zero locus
+of the defining equations onto the locus where s * J is nilpotent.  The two
+counts, by the defining equations and by nilpotency over the symmetric
+matrices, stay separate enumerations that the checks compare.
 """
 
 from itertools import product
 from typing import Iterable, Iterator
 
-from .algebra import Matrix
-from .nilcone import invariant_polys
+from .algebra import Matrix, is_nilpotent
+from .nilcone import invariant_polys, symplectic_form
 
 _MUL4 = (
     (0, 0, 0, 0),
@@ -130,22 +132,6 @@ def _guard(n: int, q: int, long: bool) -> None:
         raise ValueError("n=2, q=4 enumerates 4^10 points; pass long=True")
 
 
-def _form_mod2(n: int, q: int) -> Matrix:
-    """The symplectic form reduced mod 2: [[0, 1], [1, 0]] blocks."""
-    one = GF(q, 1)
-    zero = GF(q, 0)
-    ent = {}
-    for i in range(n):
-        ent[(i, n + i)] = one
-        ent[(n + i, i)] = one
-    return Matrix(
-        [
-            [ent.get((i, j), zero) for j in range(2 * n)]
-            for i in range(2 * n)
-        ]
-    )
-
-
 def to_lie_algebra(x1: Iterable[GF], x2: Matrix) -> Matrix:
     """The symmetric matrix x1 * transpose(x1) + x2."""
     x1 = tuple(x1)
@@ -169,16 +155,20 @@ def from_lie_algebra(s: Matrix) -> tuple[tuple[GF, ...], Matrix]:
 
 
 def is_nilpotent_lie(s: Matrix, n: int) -> bool:
-    """Whether the endomorphism s * (J mod 2) is nilpotent."""
-    q = s.rows[0][0].q
-    endo = s @ _form_mod2(n, q)
-    return (endo ** (2 * n)).is_zero()
+    """Whether the endomorphism s * J is nilpotent; the +-1 entries of J
+    reduce mod 2 when multiplied by field elements."""
+    return is_nilpotent(s @ symplectic_form(n))
 
 
-def _alt_points(n: int, q: int) -> Iterator[tuple[tuple[GF, ...], Matrix]]:
-    """All alternating matrices with their upper-triangle coordinates."""
+def _symmetric_matrices(
+    n: int, q: int, diagonal: bool
+) -> Iterator[tuple[tuple[GF, ...], Matrix]]:
+    """Every symmetric 2n x 2n matrix over GF(q) with its upper-triangle
+    coordinates, row-major; with diagonal False, only those with zero
+    diagonal, which in characteristic two are the alternating ones."""
     size = 2 * n
-    coords = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    skip = 0 if diagonal else 1
+    coords = [(i, j) for i in range(size) for j in range(i + skip, size)]
     zero = GF(q, 0)
     for vals in product(GF.elements(q), repeat=len(coords)):
         ent = {}
@@ -190,73 +180,62 @@ def _alt_points(n: int, q: int) -> Iterator[tuple[tuple[GF, ...], Matrix]]:
         )
 
 
-def _symmetric_points(n: int, q: int) -> Iterator[Matrix]:
-    size = 2 * n
-    coords = [(i, j) for i in range(size) for j in range(i, size)]
-    zero = GF(q, 0)
-    for vals in product(GF.elements(q), repeat=len(coords)):
-        ent = {}
-        for (i, j), v in zip(coords, vals):
-            ent[(i, j)] = v
-            ent[(j, i)] = v
-        yield Matrix(
-            [[ent.get((i, j), zero) for j in range(size)] for i in range(size)]
-        )
-
-
 def count_exotic_points(n: int, q: int, long: bool = False) -> int:
     """#{(x1, x2) over GF(q) with all defining equations zero at x2}."""
     _guard(n, q, long)
     polys = invariant_polys(n)
     x1_count = q ** (2 * n)
     total = 0
-    for vals, _ in _alt_points(n, q):
+    for vals, _ in _symmetric_matrices(n, q, diagonal=False):
         if all(p.evaluate(vals) == 0 for p in polys):
             total += x1_count
     return total
 
 
 def count_nilpotent_points(n: int, q: int, long: bool = False) -> int:
-    """#{symmetric s over GF(q) with s * (J mod 2) nilpotent}."""
+    """#{symmetric s over GF(q) with s * J nilpotent}."""
     _guard(n, q, long)
-    return sum(1 for s in _symmetric_points(n, q) if is_nilpotent_lie(s, n))
+    return sum(
+        1
+        for _, s in _symmetric_matrices(n, q, diagonal=True)
+        if is_nilpotent_lie(s, n)
+    )
 
 
 def verify_transport(n: int, q: int, long: bool = False) -> dict:
     """Point-level check that the quadratic map matches the two loci.
 
-    Returns {"n", "q", "exotic", "nilpotent", "ml_bijective"}; the flag is
-    True when the map is a bijection of the full spaces, round-trips both
-    ways, and sends the equation zero locus exactly onto the nilpotent
-    locus.
+    Returns {"n", "q", "exotic", "nilpotent", "ml_bijective"}.  One pass
+    over every (x1, x2) checks that from_lie_algebra inverts
+    to_lie_algebra and that x2 lies on the equation zero locus exactly
+    when its image is nilpotent; "exotic" counts the points on the zero
+    locus, "nilpotent" the nilpotent images.  Both spaces have
+    q^{2n^2 + n} points, so a map that is injective on every point is a
+    bijection, and then from_lie_algebra is its two-sided inverse.  The
+    flag is True when every point passes.
     """
     _guard(n, q, long)
     polys = invariant_polys(n)
     elements = GF.elements(q)
     ok = True
     exotic = 0
-    for vals, x2 in _alt_points(n, q):
+    nilpotent = 0
+    for vals, x2 in _symmetric_matrices(n, q, diagonal=False):
         in_cone = all(p.evaluate(vals) == 0 for p in polys)
         for x1 in product(elements, repeat=2 * n):
             s = to_lie_algebra(x1, x2)
-            back1, back2 = from_lie_algebra(s)
-            if back1 != x1 or back2 != x2:
+            if from_lie_algebra(s) != (x1, x2):
                 ok = False
-            if is_nilpotent_lie(s, n) != in_cone:
+            nil = is_nilpotent_lie(s, n)
+            if nil != in_cone:
                 ok = False
+            nilpotent += nil
         if in_cone:
             exotic += q ** (2 * n)
-    nilpotent = 0
-    for s in _symmetric_points(n, q):
-        if is_nilpotent_lie(s, n):
-            nilpotent += 1
-        back1, back2 = from_lie_algebra(s)
-        if to_lie_algebra(back1, back2) != s:
-            ok = False
     return {
         "n": n,
         "q": q,
         "exotic": exotic,
         "nilpotent": nilpotent,
-        "ml_bijective": ok and exotic == nilpotent,
+        "ml_bijective": ok,
     }

@@ -68,7 +68,19 @@ def _marked_from_args(args) -> MarkedPartition:
     return MarkedPartition(_parse_parts(args.lam), _parse_parts(args.marks))
 
 
+# Largest ranks the enumerate and joseph subcommands accept, each about 2 s
+# on a 2-core machine: the orbit list grows like the square of the partition
+# count (37 s at n = 28), and the expanded ordinary Joseph product of n^2
+# linear forms did not finish in 20 s at n = 8.
+_MAX_ENUMERATE_N = 20
+_MAX_JOSEPH_N = 7
+
+
 def _cmd_enumerate(args) -> int:
+    if args.n > _MAX_ENUMERATE_N:
+        raise ValueError(
+            f"enumerate supports n <= {_MAX_ENUMERATE_N}, got {args.n}"
+        )
     rows = []
     for mp in marked_partitions(args.n):
         bp = to_bipartition(mp)
@@ -128,6 +140,10 @@ def _cmd_dpoly(args) -> int:
 
 
 def _cmd_joseph(args) -> int:
+    if args.n > _MAX_JOSEPH_N:
+        raise ValueError(
+            f"joseph supports n <= {_MAX_JOSEPH_N}, got {args.n}"
+        )
     if args.ambient == "exotic":
         ambient = exotic_weights(args.n)
     elif args.ambient == "ordinary":
@@ -198,9 +214,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, long=args.long)
-    for line in report.lines:
-        print(line)
-    print(f"suite {report.name}: {'PASS' if report.ok else 'FAIL'}")
+    verdict = f"suite {report.name}: {'PASS' if report.ok else 'FAIL'}"
+    _emit(
+        args,
+        "\n".join(report.lines + (verdict,)),
+        {"suite": report.name, "ok": report.ok, "lines": list(report.lines)},
+    )
     return 0 if report.ok else 1
 
 

@@ -2,7 +2,9 @@
 
 A point is a pair (x1, x2) with x1 a vector of length 2n and x2 an
 alternating 2n x 2n matrix.  The cone is cut out by the coefficients of the
-Pfaffian characteristic polynomial of x2 (:func:`invariant_polys`); its
+Pfaffian characteristic polynomial of x2 (:func:`invariant_polys`), which
+vanish exactly when x2 * J is nilpotent; :func:`is_in_nilcone` tests the
+latter, and the ``pfaffian`` suite checks that the two agree.  The
 symplectic-group orbits are classified by marked partitions, computed
 pointwise by :func:`marked_invariant` and realized by
 :func:`representative`.
@@ -15,6 +17,7 @@ from typing import Iterable
 from .algebra import (
     Matrix,
     MultiPoly,
+    is_nilpotent,
     jordan_type,
     kernel_basis,
     pfaffian,
@@ -209,11 +212,15 @@ def invariant_polys(n: int) -> tuple[MultiPoly, ...]:
 
 
 def is_in_nilcone(v: ExoticVector) -> bool:
-    """Whether all defining equations vanish at v (the x1 part is free)."""
-    if v.n == 0:
-        return True
-    vals = [v.x2.rows[i - 1][j - 1] for i, j in alt_coords(v.n)]
-    return all(p.evaluate(vals) == 0 for p in invariant_polys(v.n))
+    """Whether all defining equations vanish at v (the x1 part is free).
+
+    Tested as nilpotency of x2 * J, over any field.  With f(t) = t^n +
+    sum_i t^{n-i} P_i(x2) = +-Pf(t*J - x2), f^2 = det(t*J - x2) =
+    det(t + x2 * J), the characteristic polynomial of -x2 * J.  Since
+    F[t] is a UFD, the monic f satisfies f^2 = t^{2n} exactly when
+    f = t^n, so every P_i vanishes exactly when x2 * J is nilpotent.
+    """
+    return is_nilpotent(as_endomorphism(v))
 
 
 def as_endomorphism(v: ExoticVector) -> Matrix:

@@ -32,8 +32,11 @@ from .joseph import (
     macdonald_span,
 )
 from .nilcone import (
+    ExoticVector,
+    alt_coords,
     cone_dim,
     invariant_polys,
+    is_in_nilcone,
     marked_invariant,
     orbit_dim,
     representative,
@@ -409,6 +412,33 @@ def _alt_values(n: int, upper: dict, nvars: int) -> list[MultiPoly]:
     return vals
 
 
+def _on_zero_locus(v: ExoticVector) -> bool:
+    """Whether every defining equation P_i vanishes at the x2 part of v,
+    by evaluating the expanded invariants."""
+    vals = [v.x2.rows[i - 1][j - 1] for i, j in alt_coords(v.n)]
+    return all(p.evaluate(vals) == 0 for p in invariant_polys(v.n))
+
+
+def _near_cone(v: ExoticVector, rng: random.Random) -> ExoticVector:
+    """v with +-1 added to one seeded x2 entry, kept alternating."""
+    i, j = rng.choice(alt_coords(v.n))
+    delta = rng.choice((1, -1))
+    rows = [list(r) for r in v.x2.rows]
+    rows[i - 1][j - 1] += delta
+    rows[j - 1][i - 1] -= delta
+    return ExoticVector(v.n, v.x1, Matrix(rows))
+
+
+def _membership_cases(n: int, rng: random.Random) -> list[ExoticVector]:
+    """Every orbit representative of rank n, each followed by a near-cone
+    point that differs from it in one x2 entry."""
+    out = []
+    for mp in marked_partitions(n):
+        v = representative(mp)
+        out.extend((v, _near_cone(v, rng)))
+    return out
+
+
 def _suite_pfaffian(long: bool = False) -> _Checks:
     c = _Checks()
     for size in (2, 4, 6):
@@ -523,6 +553,15 @@ def _suite_pfaffian(long: bool = False) -> _Checks:
             total == char_poly,
             "sum t^{n-i} P_i = det(t1 - Y)",
         )
+    rng = random.Random(20261019)
+    for n in (1, 2, 3):
+        cases = _membership_cases(n, rng)
+        zero = [_on_zero_locus(v) for v in cases]
+        c.add(
+            f"nilpotency equals invariant zero locus n={n}",
+            [is_in_nilcone(v) for v in cases] == zero,
+            f"{len(cases)} points, {zero.count(False)} off the cone",
+        )
     return c
 
 
@@ -547,13 +586,19 @@ def _suite_charp(long: bool = False) -> _Checks:
         cases.append((2, 4))
     for n, q in cases:
         report = verify_transport(n, q, long=long)
-        ok = report["ml_bijective"] and report["exotic"] == report["nilpotent"]
+        # Steinberg: sp_2n(F_q) has q^(2 n^2) nilpotent elements
+        steinberg = q ** (2 * n * n)
+        ok = (
+            report["ml_bijective"]
+            and report["exotic"] == report["nilpotent"] == steinberg
+        )
         if (n, q) in frozen:
             ok = ok and report["exotic"] == frozen[(n, q)]
         c.add(
             f"transport n={n} q={q}",
             ok,
-            f"exotic={report['exotic']} nilpotent={report['nilpotent']}",
+            f"exotic={report['exotic']} nilpotent={report['nilpotent']}"
+            f" q^(2n^2)={steinberg}",
         )
     return c
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exocone import (
+    GF,
     LaurentChar,
     Matrix,
     MultiPoly,
     graded_pieces,
+    is_nilpotent,
     jordan_type,
     kernel_basis,
     linear_form,
@@ -208,6 +210,25 @@ def test_row_reduce_is_rref():
     red2, pivots2 = row_reduce(Matrix([[0, 0], [1, 2]]))
     assert red2.rows[0] == (1, 2)
     assert pivots2 == (0,)  # pivot column indices
+
+
+def test_is_nilpotent():
+    assert is_nilpotent(Matrix([]))
+    # a cube-zero matrix whose square is not zero
+    assert is_nilpotent(
+        Matrix([[0, Fraction(1, 2), 3], [0, 0, -1], [0, 0, 0]])
+    )
+    assert is_nilpotent(Matrix([[1, 1], [-1, -1]]))
+    assert not is_nilpotent(Matrix([[0, 1], [1, 0]]))
+    assert not is_nilpotent(Matrix([[Fraction(1, 3)]]))
+    zero, one = GF.elements(2)
+    assert is_nilpotent(Matrix([[one, one], [one, one]]))
+    assert not is_nilpotent(Matrix([[one, zero], [zero, one]]))
+    zero, one, w, w1 = GF.elements(4)
+    # trace zero and determinant w^2 - (w + 1) = 0
+    assert is_nilpotent(Matrix([[w, w1], [one, w]]))
+    assert not is_nilpotent(Matrix([[zero, w], [one, zero]]))
+    assert is_nilpotent(Matrix([[zero]]))
 
 
 def test_jordan_type():

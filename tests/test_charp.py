@@ -7,9 +7,11 @@ import pytest
 from exocone import (
     GF,
     Matrix,
+    charp,
     count_exotic_points,
     count_nilpotent_points,
     from_lie_algebra,
+    is_nilpotent,
     is_nilpotent_lie,
     to_lie_algebra,
     verify_transport,
@@ -132,6 +134,29 @@ def test_transport_is_bijective():
         assert report["exotic"] == count_exotic_points(n, q)
         assert report["nilpotent"] == count_nilpotent_points(n, q)
         assert report["ml_bijective"] is True
+
+
+def _no_square_root(s):
+    x1, x2 = from_lie_algebra(s)
+    return tuple(s.rows[i][i] for i in range(s.nrows)), x2
+
+
+def _zero_x1(s):
+    x1, x2 = from_lie_algebra(s)
+    return tuple(a * 0 for a in x1), x2
+
+
+@pytest.mark.parametrize(
+    "name, wrong, n, q",
+    [
+        ("from_lie_algebra", _no_square_root, 1, 4),
+        ("from_lie_algebra", _zero_x1, 1, 2),
+        ("is_nilpotent_lie", lambda s, n: is_nilpotent(s), 1, 2),
+    ],
+)
+def test_transport_catches_a_wrong_map(monkeypatch, name, wrong, n, q):
+    monkeypatch.setattr(charp, name, wrong)
+    assert verify_transport(n, q)["ml_bijective"] is False
 
 
 def test_count_guards():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from exocone import SuiteReport
 from exocone.cli import main
 
 
@@ -178,6 +179,39 @@ def test_verify_suite(capsys):
     assert len(lines) == 11
     assert all(line.startswith("PASS ") for line in lines[:10])
     assert lines[-1] == "suite table-n2: PASS"
+
+
+def test_verify_suite_json(capsys, monkeypatch):
+    code, text, _ = run(capsys, "verify", "--suite", "table-n2")
+    code_json, out, _ = run(
+        capsys, "verify", "--suite", "table-n2", "--format", "json"
+    )
+    assert code == code_json == 0
+    assert json.loads(out) == {
+        "suite": "table-n2", "ok": True, "lines": text.splitlines()[:-1],
+    }
+    failing = SuiteReport("charp", False, ("FAIL transport n=1 q=2",))
+    monkeypatch.setattr("exocone.cli.run_suite", lambda name, long: failing)
+    code, out, _ = run(capsys, "verify", "--suite", "charp")
+    assert (code, out) == (1, "FAIL transport n=1 q=2\nsuite charp: FAIL\n")
+    code, out, _ = run(capsys, "verify", "--suite", "charp", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "suite": "charp", "ok": False, "lines": ["FAIL transport n=1 q=2"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "21"),
+        ("enumerate", "--n", "-1"),
+        ("joseph", "--n", "8"),
+        ("joseph", "--n", "8", "--ambient", "ordinary"),
+    ],
+)
+def test_size_guards(capsys, argv):
+    assert _one_line_error(*run(capsys, *argv))
 
 
 def test_argparse_failures(capsys):

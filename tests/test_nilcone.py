@@ -24,6 +24,7 @@ from exocone import (
     weight_matrix,
     weight_vector,
 )
+from exocone.verify import _membership_cases, _on_zero_locus
 
 
 def alt_values(n, x2):
@@ -119,6 +120,16 @@ def test_membership():
     # x2 = J has invertible endomorphism, so it cannot be in the cone
     not_nil = ExoticVector(2, (0,) * 4, symplectic_form(2))
     assert not is_in_nilcone(not_nil)
+
+
+def test_membership_equals_invariant_zero_locus():
+    rng = random.Random(11)
+    for n in range(1, 5):
+        cases = _membership_cases(n, rng)
+        verdicts = [is_in_nilcone(v) for v in cases]
+        assert verdicts == [_on_zero_locus(v) for v in cases]
+        assert all(verdicts[0::2])
+        assert not all(verdicts[1::2])
 
 
 def test_representative_frozen():
