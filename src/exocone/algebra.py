@@ -687,28 +687,26 @@ def jordan_type(m: Matrix):
     """Jordan type of a nilpotent matrix over an exact field, as the
     partition listing block sizes.
 
-    rank(m^{k-1}) - rank(m^k) counts the blocks of size >= k; raises when
-    m is not nilpotent.
+    Read off the ranks of the powers of m (see :func:`_type_from_ranks`);
+    raises when m is not nilpotent.
     """
     if m.nrows != m.ncols:
         raise ValueError("jordan type needs a square matrix")
     n = m.nrows
     ranks = [n]
     power = m
-    k = 1
     while True:
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        if k >= n:
+        ranks.append(rank(power))
+        if ranks[-1] == 0:
+            return _type_from_ranks(ranks)
+        if len(ranks) > n:
             raise ValueError("matrix is not nilpotent")
         power = power @ m
-        k += 1
-    parts = []
-    for size in range(len(ranks) - 1, 0, -1):
-        at_least = ranks[size - 1] - ranks[size]
-        at_least_next = ranks[size] - ranks[size + 1] if size < len(ranks) - 1 else 0
-        parts.extend([size] * (at_least - at_least_next))
-    parts.sort(reverse=True)
-    return Partition(parts)
+
+
+def _type_from_ranks(ranks) -> Partition:
+    """The Jordan type of a nilpotent map whose k-th power has rank
+    ranks[k], the list ending at the first 0: ranks[k-1] - ranks[k]
+    blocks have size >= k, so these differences form the conjugate
+    partition."""
+    return Partition(a - b for a, b in zip(ranks, ranks[1:])).transpose()

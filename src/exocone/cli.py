@@ -68,19 +68,32 @@ def _marked_from_args(args) -> MarkedPartition:
     return MarkedPartition(_parse_parts(args.lam), _parse_parts(args.marks))
 
 
-# Largest ranks the enumerate and joseph subcommands accept, each about 2 s
-# on a 2-core machine: the orbit list grows like the square of the partition
-# count (37 s at n = 28), and the expanded ordinary Joseph product of n^2
-# linear forms did not finish in 20 s at n = 8.
+# Largest ranks the subcommands accept, each about 2 s or less on a 2-core
+# machine: the orbit list that enumerate prints and convert --mu/--nu
+# searches grows like the square of the partition count (37 s at n = 28;
+# rep shares the limit, its 2n x 2n point took 2.4 s at n = 1000), the
+# expanded ordinary Joseph product of n^2 linear forms did not finish in
+# 20 s at n = 8, the block product of --mu 1,...,1 took 7.1 s at n = 9, and
+# classifying a dense point took 7.9 s at n = 16.
 _MAX_ENUMERATE_N = 20
 _MAX_JOSEPH_N = 7
+_MAX_DPOLY_N = 8
+_MAX_INVARIANT_N = 12
+
+
+def _check_rank(command: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"{command} supports n <= {limit}, got {n}")
+
+
+def _bipartition_from_args(args, limit: int) -> BiPartition:
+    mu, nu = _parse_parts(args.mu), _parse_parts(args.nu)
+    _check_rank(args.command, sum(mu) + sum(nu), limit)
+    return BiPartition(Partition(mu), Partition(nu))
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n > _MAX_ENUMERATE_N:
-        raise ValueError(
-            f"enumerate supports n <= {_MAX_ENUMERATE_N}, got {args.n}"
-        )
+    _check_rank("enumerate", args.n, _MAX_ENUMERATE_N)
     rows = []
     for mp in marked_partitions(args.n):
         bp = to_bipartition(mp)
@@ -117,10 +130,7 @@ def _cmd_convert(args) -> int:
         )
         return 0
     if args.mu is not None or args.nu is not None:
-        bp = BiPartition(
-            Partition(_parse_parts(args.mu)), Partition(_parse_parts(args.nu))
-        )
-        mp = from_bipartition(bp)
+        mp = from_bipartition(_bipartition_from_args(args, _MAX_ENUMERATE_N))
         _emit(
             args,
             f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(_trimmed_marks(mp))}",
@@ -131,19 +141,13 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_dpoly(args) -> int:
-    bp = BiPartition(
-        Partition(_parse_parts(args.mu)), Partition(_parse_parts(args.nu))
-    )
-    poly = macdonald_poly(bp)
+    poly = macdonald_poly(_bipartition_from_args(args, _MAX_DPOLY_N))
     _emit(args, poly.text(), poly.to_json())
     return 0
 
 
 def _cmd_joseph(args) -> int:
-    if args.n > _MAX_JOSEPH_N:
-        raise ValueError(
-            f"joseph supports n <= {_MAX_JOSEPH_N}, got {args.n}"
-        )
+    _check_rank("joseph", args.n, _MAX_JOSEPH_N)
     if args.ambient == "exotic":
         ambient = exotic_weights(args.n)
     elif args.ambient == "ordinary":
@@ -163,6 +167,8 @@ def _cmd_joseph(args) -> int:
 
 def _cmd_invariant(args) -> int:
     data = json.load(sys.stdin)
+    if isinstance(data, dict) and type(data.get("n")) is int:
+        _check_rank("invariant", data["n"], _MAX_INVARIANT_N)
     mp = marked_invariant(ExoticVector.from_json(data))
     _emit(
         args,
@@ -173,7 +179,9 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    v = representative(_marked_from_args(args))
+    mp = _marked_from_args(args)
+    _check_rank("rep", mp.size, _MAX_ENUMERATE_N)
+    v = representative(mp)
     print(json.dumps(v.to_json()))
     return 0
 

@@ -5,9 +5,10 @@ alternating 2n x 2n matrix.  The cone is cut out by the coefficients of the
 Pfaffian characteristic polynomial of x2 (:func:`invariant_polys`), which
 vanish exactly when x2 * J is nilpotent; :func:`is_in_nilcone` tests the
 latter, and the ``pfaffian`` suite checks that the two agree.  The
-symplectic-group orbits are classified by marked partitions, computed
-pointwise by :func:`marked_invariant` and realized by
-:func:`representative`.
+symplectic-group orbits are classified by marked partitions, realized by
+:func:`representative` and computed pointwise by :func:`marked_invariant`,
+which reads the bi-partition of the orbit off two Jordan types: that of
+x2 * J, and that of x2 * J modulo the span of its powers applied to x1.
 """
 
 from fractions import Fraction
@@ -17,14 +18,18 @@ from typing import Iterable
 from .algebra import (
     Matrix,
     MultiPoly,
+    _type_from_ranks,
     is_nilpotent,
-    jordan_type,
-    kernel_basis,
     pfaffian,
     rank,
-    solve_linear,
 )
-from .partitions import MarkedPartition, Partition, markings_of, to_bipartition
+from .partitions import (
+    MarkedPartition,
+    Partition,
+    bipartition,
+    from_bipartition,
+    to_bipartition,
+)
 from .weyl import block_boundaries
 
 
@@ -229,106 +234,93 @@ def as_endomorphism(v: ExoticVector) -> Matrix:
     return v.x2 @ symplectic_form(v.n)
 
 
-def exotic_jordan(v: ExoticVector) -> Partition:
-    """The halved Jordan type of the endomorphism of v.
+def _powers(v: ExoticVector) -> list[Matrix]:
+    """The nonzero powers M, M^2, ..., M^{d-1} of M = x2 * J, where M^d is
+    the first zero power; raises ValueError when M^{2n} != 0, i.e. off
+    the cone."""
+    m = as_endomorphism(v)
+    powers = []
+    power = m
+    while not power.is_zero():
+        powers.append(power)
+        if len(powers) == m.nrows:
+            raise ValueError("vector is not in the exotic nilcone")
+        power = power @ m
+    return powers
 
-    The Jordan type of x2 * J on a cone point has every part with even
-    multiplicity; the partition of n listing each size once per pair is
-    returned.  Raises when the type does not pair up.
-    """
-    jt = jordan_type(as_endomorphism(v))
+
+def _quotient_type(size: int, powers: list[Matrix], span=()) -> Partition:
+    """The Jordan type of the map that M induces on V / span, for span an
+    M-stable list of independent vectors: M^k has rank
+    rank[columns of M^k | span] - dim span there (size - dim span at
+    k = 0, and 0 from k = d on)."""
+    span = tuple(span)
+    ranks = [rank(Matrix(p.transpose().rows + span)) - len(span) for p in powers]
+    return _type_from_ranks([size - len(span), *ranks, 0])
+
+
+def _halved_type(size: int, powers: list[Matrix]) -> Partition:
+    jt = _quotient_type(size, powers)
     if len(jt) % 2 or any(jt[2 * k] != jt[2 * k + 1] for k in range(len(jt) // 2)):
         raise ValueError(f"Jordan type {list(jt)} does not pair up")
     return Partition(jt[0::2])
 
 
+def exotic_jordan(v: ExoticVector) -> Partition:
+    """The halved Jordan type of the endomorphism of v.
+
+    The Jordan type of x2 * J on a cone point has every part with even
+    multiplicity; the partition of n listing each size once per pair is
+    returned.  Raises when v is off the cone or the type does not pair up.
+    """
+    return _halved_type(2 * v.n, _powers(v))
+
+
 def marked_invariant(v: ExoticVector) -> MarkedPartition:
     """The marked partition classifying the orbit of v.
 
-    The partition part is the halved Jordan type; the marks are the unique
-    compatible tuple for which x1 decomposes as sum over marked indices k
-    of M^{lam_k - a_k} xi_k with xi_k in ker M^{lam_k} and
-    M^{lam_k - 1} xi_k != 0.  Uniqueness is re-checked by testing every
-    candidate marking.
+    Read off two Jordan types (Achar-Henderson, Orbit closures in the
+    enhanced nilpotent cone): with M = x2 * J, the type of M on V is
+    (lam, lam) for lam = mu + nu, and the type of M on V / W, where W is
+    spanned by the nonzero vectors M^k x1 (which are independent), is lam
+    together with rho = (nu_1 + mu_2, nu_2 + mu_3, ...).  Hence
+    mu_i = sum_{j >= i} (lam_j - rho_j), nu = lam - mu, and the orbit is
+    ``from_bipartition((mu, nu))``.  The ranks of the powers of M give the
+    first type; the ranks of [columns of M^k | W], minus dim W, give the
+    second (:func:`_quotient_type` with an empty and with the full span).
+
+    Why this is right: the group moves M by g M g^-1 and x1 by g x1, so
+    both types are orbit invariants, and ranks do not depend on the field.
+    Kato gives one orbit per marked partition, so the formula is right on
+    every point of rank n once ``marked_invariant(representative(mp)) ==
+    mp`` for every mp of rank n (the ``roundtrip`` suite).
+
+    Raises ValueError off the cone; the two failures the theory rules out
+    (lam not inside the quotient type, or a (mu, nu) outside the image of
+    ``to_bipartition``) raise AssertionError.
     """
-    if not is_in_nilcone(v):
-        raise ValueError("vector is not in the exotic nilcone")
-    lam = exotic_jordan(v)
-    m = as_endomorphism(v)
-    x1 = tuple(Fraction(c) for c in v.x1)
-    powers: dict[int, Matrix] = {}
-    winners = [
-        marks
-        for marks in markings_of(lam)
-        if _marks_match(m, x1, lam, marks, powers)
-    ]
-    if len(winners) != 1:
+    size, powers = 2 * v.n, _powers(v)
+    lam = _halved_type(size, powers)
+    chain = [w for w in (v.x1, *(p.apply(v.x1) for p in powers)) if any(w)]
+    quotient = _quotient_type(size, powers, chain)
+    rest = list(quotient)
+    for part in lam:
+        if part not in rest:
+            raise AssertionError(
+                f"quotient type {list(quotient)} does not contain {list(lam)}"
+            )
+        rest.remove(part)
+    rho = Partition(rest)
+    length = max(len(lam), len(rho))
+    gaps = [lam.part(i) - rho.part(i) for i in range(1, length + 1)]
+    mu = [sum(gaps[i:]) for i in range(length)]
+    nu = [lam.part(i + 1) - mu[i] for i in range(length)]
+    try:
+        return from_bipartition(bipartition(mu, nu))
+    except ValueError:
         raise AssertionError(
-            f"{len(winners)} markings match {list(lam)}; want exactly one"
-        )
-    return MarkedPartition(lam, winners[0])
-
-
-def _mpow(m: Matrix, k: int, powers: dict) -> Matrix:
-    if k not in powers:
-        powers[k] = m ** k
-    return powers[k]
-
-
-def _marks_match(m, x1, lam, marks, powers) -> bool:
-    live = [k for k, a in enumerate(marks) if a]
-    if not live:
-        return not any(x1)
-    cols = []
-    spans = []
-    walls = []
-    offsets = []
-    for k in live:
-        basis = kernel_basis(_mpow(m, lam[k], powers))
-        shift = _mpow(m, lam[k] - marks[k], powers)
-        top = _mpow(m, lam[k] - 1, powers)
-        offsets.append(len(cols))
-        cols.extend(shift.apply(b) for b in basis)
-        spans.append([top.apply(b) for b in basis])
-        walls.append(_column_span(_mpow(m, lam[k], powers)))
-    sol = solve_linear(Matrix(zip(*cols)), x1)
-    if sol is None:
-        return False
-    particular, null = sol
-    # Each live index needs M^{lam_k - 1} xi_k outside im M^{lam_k} for some
-    # solution; a nonzero image alone does not force xi_k to span a summand
-    # of size lam_k.  The image is linear in the coefficients, so it stays
-    # inside the wall on the whole affine solution set exactly when the
-    # particular solution and every kernel direction land inside; finitely
-    # many proper subspaces cannot cover the set over the rationals.
-    for pos in range(len(live)):
-        lo = offsets[pos]
-        images = spans[pos]
-        hi = lo + len(images)
-        wall, wall_rank = walls[pos]
-        if _escapes(particular[lo:hi], images, wall, wall_rank):
-            continue
-        if any(_escapes(nv[lo:hi], images, wall, wall_rank) for nv in null):
-            continue
-        return False
-    return True
-
-
-def _column_span(m: Matrix) -> tuple[list[tuple], int]:
-    cols = [col for col in zip(*m.rows) if any(col)]
-    return cols, rank(Matrix(cols)) if cols else 0
-
-
-def _escapes(coeffs, images, wall, wall_rank) -> bool:
-    total = [0] * (len(images[0]) if images else 0)
-    for c, img in zip(coeffs, images):
-        if c:
-            total = [a + c * b for a, b in zip(total, img)]
-    if not any(total):
-        return False
-    if not wall:
-        return True
-    return rank(Matrix(wall + [tuple(total)])) > wall_rank
+            f"(mu, nu) = ({mu}, {nu}) is not the image of a marked partition"
+        ) from None
 
 
 def representative(mp: MarkedPartition) -> ExoticVector:

@@ -419,9 +419,10 @@ def _on_zero_locus(v: ExoticVector) -> bool:
     return all(p.evaluate(vals) == 0 for p in invariant_polys(v.n))
 
 
-def _near_cone(v: ExoticVector, rng: random.Random) -> ExoticVector:
-    """v with +-1 added to one seeded x2 entry, kept alternating."""
-    i, j = rng.choice(alt_coords(v.n))
+def _near_cone(v: ExoticVector, rng: random.Random, cells) -> ExoticVector:
+    """v with +-1 added to the x2 entry at one seeded cell (i, j), kept
+    alternating."""
+    i, j = rng.choice(cells)
     delta = rng.choice((1, -1))
     rows = [list(r) for r in v.x2.rows]
     rows[i - 1][j - 1] += delta
@@ -430,12 +431,16 @@ def _near_cone(v: ExoticVector, rng: random.Random) -> ExoticVector:
 
 
 def _membership_cases(n: int, rng: random.Random) -> list[ExoticVector]:
-    """Every orbit representative of rank n, each followed by a near-cone
-    point that differs from it in one x2 entry."""
+    """Every orbit representative of rank n, each followed by two near-cone
+    points: one differs from it in one seeded x2 entry, the other in one
+    seeded (i, n+i) entry.  tr(x2 J) = 2 sum_i x2[i][n+i], so the second
+    point always has a nonzero trace and lies off the cone."""
+    cells = alt_coords(n)
+    diagonal = [(i, n + i) for i in range(1, n + 1)]
     out = []
     for mp in marked_partitions(n):
         v = representative(mp)
-        out.extend((v, _near_cone(v, rng)))
+        out.extend((v, _near_cone(v, rng, cells), _near_cone(v, rng, diagonal)))
     return out
 
 
@@ -567,7 +572,7 @@ def _suite_pfaffian(long: bool = False) -> _Checks:
 
 def _suite_roundtrip(long: bool = False) -> _Checks:
     c = _Checks()
-    for n in range(5):
+    for n in range(6):
         count = 0
         ok = True
         for mp in marked_partitions(n):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from exocone import SuiteReport
+from exocone import ExoticVector, SuiteReport
 from exocone.cli import main
 
 
@@ -208,9 +208,16 @@ def test_verify_suite_json(capsys, monkeypatch):
         ("enumerate", "--n", "-1"),
         ("joseph", "--n", "8"),
         ("joseph", "--n", "8", "--ambient", "ordinary"),
+        ("dpoly", "--mu", "1,1,1,1,1", "--nu", "2,2"),
+        ("convert", "--mu", "11", "--nu", "10"),
+        ("rep", "--lambda", "21"),
+        ("invariant",),
     ],
 )
-def test_size_guards(capsys, argv):
+def test_size_guards(capsys, monkeypatch, argv):
+    # read only by invariant: a point of rank 13
+    point = json.dumps(ExoticVector.zero(13).to_json())
+    monkeypatch.setattr("sys.stdin", io.StringIO(point))
     assert _one_line_error(*run(capsys, *argv))
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from exocone import (
     ExoticVector,
+    MarkedPartition,
     Matrix,
+    Partition,
     alt_coords,
     as_endomorphism,
     cone_dim,
@@ -24,6 +26,7 @@ from exocone import (
     weight_matrix,
     weight_vector,
 )
+from exocone import nilcone
 from exocone.verify import _membership_cases, _on_zero_locus
 
 
@@ -128,8 +131,9 @@ def test_membership_equals_invariant_zero_locus():
         cases = _membership_cases(n, rng)
         verdicts = [is_in_nilcone(v) for v in cases]
         assert verdicts == [_on_zero_locus(v) for v in cases]
-        assert all(verdicts[0::2])
-        assert not all(verdicts[1::2])
+        assert all(verdicts[0::3])
+        assert not all(verdicts[1::3])
+        assert not any(verdicts[2::3])
 
 
 def test_representative_frozen():
@@ -155,19 +159,37 @@ def test_exotic_jordan():
 
 
 def test_marked_invariant_round_trip():
-    for n in range(4):
+    for n in range(7):
         for mp in marked_partitions(n):
             assert marked_invariant(representative(mp)) == mp
 
 
 def test_marked_invariant_rejects_non_members():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in the exotic nilcone"):
         marked_invariant(ExoticVector(2, (0,) * 4, symplectic_form(2)))
+
+
+def test_marked_invariant_raises_assertion_on_impossible_types(monkeypatch):
+    # failures the theory rules out are not bad input: the CLI must not
+    # turn them into exit 2
+    v = representative(MarkedPartition((2,), (1,)))
+    types = iter([Partition((2, 2)), Partition((1,))])
+    monkeypatch.setattr(nilcone, "_type_from_ranks", lambda ranks: next(types))
+    with pytest.raises(AssertionError, match="does not contain"):
+        marked_invariant(v)
+    monkeypatch.undo()
+
+    def not_an_image(bp):
+        raise ValueError(f"{bp} is not in the image of any marked partition")
+
+    monkeypatch.setattr(nilcone, "from_bipartition", not_an_image)
+    with pytest.raises(AssertionError, match="not the image"):
+        marked_invariant(v)
 
 
 def test_marked_invariant_constant_on_transvection_orbits():
     rng = random.Random(7)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         J = symplectic_form(n)
         for _ in range(3):
             t = random_transvection(n, rng)
