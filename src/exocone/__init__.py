@@ -17,7 +17,6 @@ from .algebra import (
     LaurentChar,
     Matrix,
     MultiPoly,
-    graded_pieces,
     is_nilpotent,
     jordan_type,
     kernel_basis,
@@ -45,7 +44,6 @@ from .joseph import (
     macdonald_poly,
     macdonald_poly_direct,
     macdonald_span,
-    sign_flip_symmetry,
 )
 from .nilcone import (
     ExoticVector,
@@ -84,7 +82,6 @@ from .weyl import (
     flag_model_weights,
     is_stable_weight,
     positive_roots,
-    sign_flip_generators,
     simple_reflection,
     special_element,
     stable_weights,

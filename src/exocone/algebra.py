@@ -177,11 +177,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def homogeneous_component(self, k: int) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) == k}
-        )
-
     def evaluate(self, values):
         """Evaluate at a point; values must multiply with the coefficients."""
         values = tuple(values)
@@ -289,11 +284,6 @@ class LaurentChar:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def exp_weight(cls, wt: Iterable[int]) -> "LaurentChar":
-        wt = tuple(wt)
-        return cls(len(wt), {wt: 1})
-
-    @classmethod
     def euler_factor(cls, wt: Iterable[int]) -> "LaurentChar":
         """1 - e^{-wt}."""
         wt = tuple(int(w) for w in wt)
@@ -348,23 +338,6 @@ class LaurentChar:
 
     def __repr__(self) -> str:
         return f"LaurentChar({self.nvars}, {dict(self.terms)!r})"
-
-
-def graded_pieces(ch: LaurentChar, max_degree: int) -> list[MultiPoly]:
-    """Expand each e^wt as a power series in the linear form <wt, e> and
-    collect the homogeneous pieces of degree 0..max_degree."""
-    n = ch.nvars
-    out = [MultiPoly.zero(n) for _ in range(max_degree + 1)]
-    for wt, c in ch.terms.items():
-        form = linear_form(wt)
-        power = MultiPoly.one(n)
-        factorial = 1
-        for k in range(max_degree + 1):
-            if k:
-                power = power * form
-                factorial *= k
-            out[k] = out[k] + power * Fraction(c, factorial)
-    return out
 
 
 def lowest_term(ch: LaurentChar) -> MultiPoly:

@@ -64,14 +64,12 @@ def _emit(args, text: str, obj) -> None:
         print(text)
 
 
-def _marked_from_args(args) -> MarkedPartition:
-    return MarkedPartition(_parse_parts(args.lam), _parse_parts(args.marks))
-
-
 # Largest ranks the subcommands accept, each about 2 s or less on a 2-core
-# machine: the orbit list that enumerate prints and convert --mu/--nu
-# searches grows like the square of the partition count (37 s at n = 28;
-# rep shares the limit, its 2n x 2n point took 2.4 s at n = 1000), the
+# machine.  Every orbit label (--lambda, and --mu/--nu for convert) shares
+# the enumerate limit: the orbit list enumerate prints grows like the square
+# of the partition count (37 s at n = 28), the 2n x 2n point of rep took
+# 2.4 s at n = 1000, special_element grows about cubically (9.5 s at
+# n = 1000) and orbit_dim quadratically (4.75 s at n = 10000).  The
 # expanded ordinary Joseph product of n^2 linear forms did not finish in
 # 20 s at n = 8, the block product of --mu 1,...,1 took 7.1 s at n = 9, and
 # classifying a dense point took 7.9 s at n = 16.
@@ -84,6 +82,12 @@ _MAX_INVARIANT_N = 12
 def _check_rank(command: str, n: int, limit: int) -> None:
     if n > limit:
         raise ValueError(f"{command} supports n <= {limit}, got {n}")
+
+
+def _marked_from_args(args) -> MarkedPartition:
+    lam = _parse_parts(args.lam)
+    _check_rank(args.command, sum(lam), _MAX_ENUMERATE_N)
+    return MarkedPartition(lam, _parse_parts(args.marks))
 
 
 def _bipartition_from_args(args, limit: int) -> BiPartition:
@@ -179,9 +183,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    mp = _marked_from_args(args)
-    _check_rank("rep", mp.size, _MAX_ENUMERATE_N)
-    v = representative(mp)
+    v = representative(_marked_from_args(args))
     print(json.dumps(v.to_json()))
     return 0
 

@@ -22,7 +22,7 @@ from math import comb, factorial
 from typing import Iterable
 
 from .algebra import LaurentChar, MultiPoly, linear_form
-from .partitions import BiPartition, Partition, from_bipartition
+from .partitions import BiPartition, Partition
 from .weyl import act_on_poly, block_boundaries, simple_reflection
 
 Weight = tuple[int, ...]
@@ -156,7 +156,7 @@ def macdonald_poly(bp: BiPartition) -> MultiPoly:
     times the plain product of their variables.
     """
     bp = BiPartition(Partition(bp.mu), Partition(bp.nu))
-    d = block_boundaries(from_bipartition(bp))
+    d = block_boundaries(bp)
     sizes = [d[b + 1] - d[b] for b in range(len(d) - 1)]
     mu1 = bp.mu.part(1)
     return _block_product(sizes[:mu1], sizes[mu1:])
@@ -258,19 +258,3 @@ def irrep_dim(bp: BiPartition) -> int:
     bp = BiPartition(Partition(bp.mu), Partition(bp.nu))
     n = bp.size
     return comb(n, bp.mu.size) * _tableau_count(bp.mu) * _tableau_count(bp.nu)
-
-
-def sign_flip_symmetry(f: MultiPoly) -> str:
-    """Behaviour under the subgroup of coordinate sign flips: "invariant"
-    when every exponent is even, "anti_invariant" when every exponent of
-    every variable is odd, else "neither"."""
-    if not f.terms:
-        return "invariant"
-    parities = set()
-    for exp in f.terms:
-        parities.update(e % 2 for e in exp)
-    if parities == {0}:
-        return "invariant"
-    if parities == {1}:
-        return "anti_invariant"
-    return "neither"

@@ -139,10 +139,20 @@ class ExoticVector:
         return cls(n, [_exact(c) for c in x1], x2)
 
 
+# Python converts at most 4300 digits from text to int; an exponent in a
+# number string is held to the same size, since Fraction("1e10000000")
+# alone builds a ten-million-digit integer (13.7 s on a 2-core machine).
+_MAX_EXPONENT = 4300
+
+
 def _exact(value) -> Fraction:
     try:
+        if isinstance(value, str):
+            exponent = value.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{value!r} is not an exact number") from None
 
 
@@ -296,8 +306,9 @@ def marked_invariant(v: ExoticVector) -> MarkedPartition:
     mp`` for every mp of rank n (the ``roundtrip`` suite).
 
     Raises ValueError off the cone; the two failures the theory rules out
-    (lam not inside the quotient type, or a (mu, nu) outside the image of
-    ``to_bipartition``) raise AssertionError.
+    (lam not inside the quotient type, or a (mu, nu) that is not a
+    bi-partition, hence not the image of a marked partition) raise
+    AssertionError.
     """
     size, powers = 2 * v.n, _powers(v)
     lam = _halved_type(size, powers)
@@ -332,7 +343,7 @@ def representative(mp: MarkedPartition) -> ExoticVector:
     slot-s position of the a_s-th block on that chain.
     """
     n = mp.size
-    d = block_boundaries(mp)
+    d = block_boundaries(to_bipartition(mp))
     sizes = [d[k + 1] - d[k] for k in range(len(d) - 1)]
     if sorted(sizes, reverse=True) != list(mp.lam.transpose()):
         raise AssertionError(f"block sizes {sizes} do not transpose to lam")
@@ -355,8 +366,7 @@ def representative(mp: MarkedPartition) -> ExoticVector:
 def orbit_dim(mp: MarkedPartition) -> int:
     """Dimension of the orbit labelled by mp: the unmarked flag blocks give
     4 * sum_{i<j} c_i c_j, the marks add 2 |mu|."""
-    base = MarkedPartition(mp.lam)
-    d = block_boundaries(base)
+    d = block_boundaries(bipartition((), mp.lam))
     sizes = [d[k + 1] - d[k] for k in range(len(d) - 1)]
     pairs = sum(
         sizes[i] * sizes[j]

@@ -10,10 +10,13 @@ A marked partition is a partition ``lam`` together with a tuple of marks
 
 Marked partitions of n classify the symplectic-group orbits on the exotic
 nilpotent cone; bi-partitions of n classify the same set through the
-bijection implemented by :func:`to_bipartition` / :func:`from_bipartition`.
+bijection :func:`to_bipartition`, an explicit completion rule, whose
+inverse :func:`from_bipartition` reads the marks back from (mu, nu) in
+closed form: conditions (2) and (3) single out the nonzero marks as the
+values of mu that beat every other candidate.  Neither direction
+enumerates marked partitions.
 """
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -251,23 +254,42 @@ def to_bipartition(mp: MarkedPartition) -> BiPartition:
     return BiPartition(Partition(mu), Partition(nu))
 
 
-@lru_cache(maxsize=None)
-def _bipartition_table(n: int) -> dict:
-    table = {}
-    for mp in marked_partitions(n):
-        bp = to_bipartition(mp)
-        if bp in table:
-            raise AssertionError(f"two marked partitions map to {bp}")
-        table[bp] = mp
-    return table
-
-
 def from_bipartition(bp: BiPartition) -> MarkedPartition:
     """The marked partition mapping to bp; inverse of
-    :func:`to_bipartition`."""
+    :func:`to_bipartition`, in closed form.
+
+    lam_i = mu_i + nu_i, and for i = 1, 2, ... the mark a_i is mu_i when
+    mu_i is larger than every a_j + lam_i - lam_j (j < i) and every mu_j
+    (j > i); otherwise a_i = 0.
+
+    Why: a zero mark a_i is completed by :func:`to_bipartition` to the
+    maximum of {a_j + lam_i - lam_j : j < i} and {a_j : j >= i}; as
+    mu_j >= a_j, that is at most the largest pool entry (or 0), so the
+    rule gives 0.  A nonzero mark a_i = mu_i beats every pool entry: an
+    entry a_j + lam_i - lam_j (j < i) by condition (3) when a_j is nonzero
+    and because lam_i <= lam_j when it is zero; a completed mu_j (j > i)
+    because by (2) a marked part is strictly larger than every later part,
+    so each candidate in the maximum defining mu_j falls below a_i by (3)
+    or by that gap.  So the marks can be read back from (mu, nu), which
+    makes :func:`to_bipartition` injective, and Kato's count (as many
+    orbits as bi-partitions) makes it a bijection.  A result that does not
+    map back to bp is ruled out by this argument and raises
+    AssertionError.
+    """
     bp = BiPartition(Partition(bp.mu), Partition(bp.nu))
-    table = _bipartition_table(bp.size)
+    mu, nu = bp.mu, bp.nu
+    length = max(len(mu), len(nu))
+    lam = [mu.part(i) + nu.part(i) for i in range(1, length + 1)]
+    marks = []
+    for i in range(length):
+        m = mu.part(i + 1)
+        pool = [marks[j] + lam[i] - lam[j] for j in range(i)]
+        pool.extend(mu[i + 1:])
+        marks.append(m if all(m > b for b in pool) else 0)
     try:
-        return table[bp]
-    except KeyError:
-        raise ValueError(f"{bp} is not in the image of any marked partition")
+        mp = MarkedPartition(lam, marks)
+    except ValueError as exc:
+        raise AssertionError(f"marks read from {bp} are not valid: {exc}") from None
+    if to_bipartition(mp) != bp:
+        raise AssertionError(f"{mp} does not map back to {bp}")
+    return mp

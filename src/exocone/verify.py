@@ -158,7 +158,7 @@ def _root_product(bp: BiPartition) -> MultiPoly:
     """The block product multiplied out one linear form at a time:
     (e_k - e_l)(e_k + e_l) for k < l in one flag block, times e_k for every
     k past the |mu| anchor."""
-    d = block_boundaries(from_bipartition(bp))
+    d = block_boundaries(bp)
     n = bp.size
 
     def form(k, l, sign):

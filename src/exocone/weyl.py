@@ -13,7 +13,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator
 
 from .algebra import MultiPoly
-from .partitions import MarkedPartition, Partition, to_bipartition
+from .partitions import BiPartition, MarkedPartition, Partition, to_bipartition
 
 Weight = tuple[int, ...]
 
@@ -138,19 +138,6 @@ def weyl_group(n: int) -> list[SignedPermutation]:
     return group
 
 
-def sign_flip_generators(n: int) -> list[SignedPermutation]:
-    """Generators t_i = s_i s_{i+1} .. s_n .. s_{i+1} s_i of the subgroup
-    of pure sign changes; t_i flips the sign of axis i only."""
-    gens = []
-    for i in range(1, n + 1):
-        word = list(range(i, n + 1)) + list(range(n - 1, i - 1, -1))
-        w = SignedPermutation.identity(n)
-        for k in word:
-            w = w * simple_reflection(k, n)
-        gens.append(w)
-    return gens
-
-
 def act_on_poly(w: SignedPermutation, f: MultiPoly) -> MultiPoly:
     """The coordinate action on polynomials: variable i is sent to
     +-variable |w(i)|."""
@@ -242,15 +229,18 @@ def special_element(mp: MarkedPartition) -> SignedPermutation:
     return SignedPermutation(image)
 
 
-def block_boundaries(mp: MarkedPartition) -> tuple[int, ...]:
-    """The weakly increasing boundary sequence of the flag blocks.
+def block_boundaries(bp: BiPartition) -> tuple[int, ...]:
+    """The weakly increasing boundary sequence of the flag blocks of the
+    orbit labelled by bp = (mu, nu).
 
     The mu-side contributes the partial column sums of the transpose of mu
     read from the last column, the nu-side continues with |mu| plus the
     column sums of the transpose of nu; the sequence starts at 0, passes
-    through |mu|, and ends at n.
+    through |mu| at position mu_1, and ends at n = |mu| + |nu|.  The block
+    sizes are the column lengths of mu and of nu, which together transpose
+    to lam = mu + nu.
     """
-    bp = to_bipartition(mp)
+    bp = BiPartition(Partition(bp.mu), Partition(bp.nu))
     tmu = bp.mu.transpose()
     tnu = bp.nu.transpose()
     mu1 = bp.mu.part(1)
@@ -262,8 +252,8 @@ def block_boundaries(mp: MarkedPartition) -> tuple[int, ...]:
         d.append(bp.mu.size + tnu.sum_through(k))
     if any(d[k] > d[k + 1] for k in range(len(d) - 1)):
         raise AssertionError(f"boundaries not weakly increasing: {d}")
-    if d[mu1] != bp.mu.size or d[-1] != mp.size:
-        raise AssertionError(f"boundary anchors wrong for {mp}: {d}")
+    if d[mu1] != bp.mu.size or d[-1] != bp.size:
+        raise AssertionError(f"boundary anchors wrong for {bp}: {d}")
     return tuple(d)
 
 
@@ -318,8 +308,8 @@ def flag_model_weights(mp: MarkedPartition):
     weights eps_i, and all eps_i - eps_j with i in an earlier flag block
     than j.
     """
-    d = block_boundaries(mp)
     bp = to_bipartition(mp)
+    d = block_boundaries(bp)
     mu1 = bp.mu.part(1)
     n = mp.size
     vec = []

@@ -1,11 +1,15 @@
 """End-to-end command line coverage with frozen outputs."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exocone import ExoticVector, SuiteReport
 from exocone.cli import main
@@ -120,6 +124,7 @@ def test_dim_rejects_bad_rank(capsys):
         "[1]",
         '{"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 5, "1"]]}',
         "not json",
+        '{"n": 1, "x1": [1e400, 0], "x2_upper": []}',
     ],
 )
 def test_invariant_rejects_bad_input(capsys, monkeypatch, stdin):
@@ -212,6 +217,8 @@ def test_verify_suite_json(capsys, monkeypatch):
         ("convert", "--mu", "11", "--nu", "10"),
         ("rep", "--lambda", "21"),
         ("invariant",),
+        ("dim", "--lambda", "21"),
+        ("special", "--lambda", "21"),
     ],
 )
 def test_size_guards(capsys, monkeypatch, argv):
@@ -253,3 +260,124 @@ def test_console_script_pipe():
     )
     assert inv.returncode == 0
     assert inv.stdout == "lambda=2 a=2\n"
+
+
+# Fuzzed command lines (every subcommand but verify, with option values
+# argparse accepts, passed as --opt=value so a leading "-" is a value) and
+# fuzzed points on the stdin of invariant.
+_junk = st.text(max_size=8)
+_parts = st.one_of(
+    st.lists(st.integers(-3, 25), max_size=6).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    st.lists(st.integers(), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    st.from_regex(r"[0-9]{20,60}", fullmatch=True),
+    _junk,
+)
+_weights = st.one_of(
+    st.lists(_parts, max_size=4).map(";".join), st.just("all"), _junk
+)
+_number = st.one_of(
+    st.integers(-2, 2),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(
+        [1e400, -1e400, float("nan"), "1/3", "1e400", "1e999999999", "-0.5"]
+    ),
+)
+_scalar = st.one_of(_number, _number, st.none(), st.booleans(), _junk)
+_json = st.recursive(
+    _scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _shaped_point(draw):
+    # mostly numbers, so that one bad entry is often the only one
+    entry = st.one_of(_number, _number, _number, _scalar)
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, 2 * n + 1) for j in range(i + 1, 2 * n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return {
+        "n": n,
+        "x1": draw(st.lists(entry, min_size=2 * n, max_size=2 * n)),
+        "x2_upper": [[i, j, draw(entry)] for i, j in chosen],
+    }
+
+
+def _options(draw, names):
+    argv = []
+    for name in names:
+        if draw(st.booleans()):
+            argv.append(f"{name}={draw(_parts)}")
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    command = draw(
+        st.sampled_from(
+            ["enumerate", "convert", "dpoly", "joseph", "rep", "dim",
+             "special", "count", "invariant"]
+        )
+    )
+    argv = [command, f"--format={draw(st.sampled_from(['json', 'text']))}"]
+    rank = st.one_of(st.integers(-3, 12), st.integers(21, 10**30))
+    if command == "enumerate":
+        argv.append(f"--n={draw(rank)}")
+    elif command == "convert":
+        argv += _options(draw, ["--lambda", "--a", "--mu", "--nu"])
+    elif command == "dpoly":
+        argv += _options(draw, ["--mu", "--nu"])
+    elif command == "joseph":
+        argv.append(f"--n={draw(st.integers(-2, 4))}")
+        argv.append(f"--ambient={draw(st.sampled_from(['exotic', 'ordinary']))}")
+        for name in ("--span", "--eqs"):
+            if draw(st.booleans()):
+                argv.append(f"{name}={draw(_weights)}")
+    elif command in ("rep", "special"):
+        argv.append(f"--lambda={draw(_parts)}")
+        argv += _options(draw, ["--a"])
+    elif command == "dim":
+        argv += _options(draw, ["--lambda", "--a"])
+        if draw(st.booleans()):
+            argv.append(f"--n={draw(rank)}")
+    elif command == "count":
+        argv.append(f"--n={draw(st.integers(-2, 1))}")
+        argv.append(f"--q={draw(st.integers(-2, 6))}")
+    return argv
+
+
+def _assert_exit_contract(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's own rejection, as in test_argparse_failures
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert _one_line_error(code, out.getvalue(), err.getvalue())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_argv(), _json)
+def test_cli_fuzz_argv_keeps_the_exit_contract(argv, data):
+    _assert_exit_contract(argv, json.dumps(data))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(["json", "text"]), st.one_of(_shaped_point(), _json))
+def test_cli_fuzz_stdin_keeps_the_exit_contract(fmt, data):
+    _assert_exit_contract(["invariant", f"--format={fmt}"], json.dumps(data))

@@ -9,6 +9,7 @@ from exocone import (
     LaurentChar,
     MultiPoly,
     Presentation,
+    SignedPermutation,
     act_on_poly,
     bipartition,
     bipartitions,
@@ -24,7 +25,6 @@ from exocone import (
     marked_partitions,
     orbit_dim,
     positive_roots,
-    sign_flip_symmetry,
     stable_weights,
     to_bipartition,
     weyl_group,
@@ -166,24 +166,21 @@ def test_irrep_dims_are_complete():
         assert total == 2**n * factorial(n)
 
 
-def test_sign_flip_symmetry_frozen():
-    assert sign_flip_symmetry(poly2({(2, 0): 1, (0, 2): -1})) == "invariant"
-    assert (
-        sign_flip_symmetry(poly2({(3, 1): 1, (1, 3): -1})) == "anti_invariant"
-    )
-    assert sign_flip_symmetry(poly2({(0, 1): 1})) == "neither"
-
-
 def test_sign_flip_symmetry_classifies_unmarked_types():
     # (lambda, empty) gives flip-invariant polynomials, (empty, lambda)
-    # gives fully anti-invariant ones
+    # gives ones that every one-axis sign flip negates
     for n in range(1, 6):
+        flips = [
+            SignedPermutation([-i if i == k else i for i in range(1, n + 1)])
+            for k in range(1, n + 1)
+        ]
         for bp in bipartitions(n):
             f = macdonald_poly(bp)
-            if not bp.nu:
-                assert sign_flip_symmetry(f) == "invariant"
-            if not bp.mu:
-                assert sign_flip_symmetry(f) == "anti_invariant"
+            for t in flips:
+                if not bp.nu:
+                    assert act_on_poly(t, f) == f
+                if not bp.mu:
+                    assert act_on_poly(t, f) == -f
 
 
 def test_macdonald_poly_is_a_product_of_roots():

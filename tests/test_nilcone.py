@@ -279,11 +279,19 @@ def test_exotic_vector_validation():
         {"n": 1, "x1": ["0", "x"], "x2_upper": []},
         {"n": 1, "x1": ["0", "1/0"], "x2_upper": []},
         {"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 2, None]]},
+        {"n": 1, "x1": [1e400, 0], "x2_upper": []},
+        {"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 2, 1e400]]},
+        {"n": 1, "x1": ["1e999999999", "0"], "x2_upper": []},
     ],
 )
 def test_exotic_vector_from_json_rejects_bad_input(data):
     with pytest.raises(ValueError):
         ExoticVector.from_json(data)
+
+
+def test_exotic_vector_from_json_reads_exponents_to_the_digit_limit():
+    data = {"n": 1, "x1": ["1e4300", "-2.5E-3"], "x2_upper": []}
+    assert ExoticVector.from_json(data).x1 == (10**4300, Fraction(-1, 400))
 
 
 def test_cone_dim_rejects_negative_rank():

@@ -1,6 +1,7 @@
 """Partitions, markings, bi-partitions, and the bijection between them."""
 
 import itertools
+import time
 
 import pytest
 
@@ -151,12 +152,23 @@ def test_bijection_frozen_pairs(lam, a, mu, nu):
 
 
 def test_bijection_small_ranks():
-    for n in range(9):
+    for n in range(13):
         image = [to_bipartition(mp) for mp in marked_partitions(n)]
         assert len(set(image)) == len(image)
         assert set(image) == set(bipartitions(n))
         for mp, bp in zip(marked_partitions(n), image):
             assert from_bipartition(bp) == mp
+
+
+def test_from_bipartition_enumerates_nothing():
+    # rank 40 has about 9 * 10^6 marked partitions; the closed form reads the
+    # marks straight off (mu, nu)
+    bp = bipartition((10, 5, 3, 1), (8, 7, 4, 2))
+    start = time.perf_counter()
+    mp = from_bipartition(bp)
+    assert time.perf_counter() - start < 0.1
+    assert mp.size == 40
+    assert to_bipartition(mp) == bp
 
 
 def test_bipartition_weight_split():

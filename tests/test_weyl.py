@@ -15,10 +15,10 @@ from exocone import (
     linear_form,
     marked_partitions,
     positive_roots,
-    sign_flip_generators,
     simple_reflection,
     special_element,
     stable_weights,
+    to_bipartition,
     weyl_group,
 )
 
@@ -87,15 +87,6 @@ def test_longest_element_length():
         assert max(w.length() for w in weyl_group(n)) == n * n
 
 
-def test_sign_flip_generators():
-    flips = sign_flip_generators(2)
-    assert [t.image for t in flips] == [(-1, 2), (1, -2)]
-    for n in (1, 2, 3):
-        for k, t in enumerate(sign_flip_generators(n), start=1):
-            for i in range(1, n + 1):
-                assert t.apply_axis(i) == (-i if i == k else i)
-
-
 def test_act_on_poly_is_compatible_with_weights():
     for w in weyl_group(2):
         for wt in exotic_weights(2):
@@ -147,14 +138,15 @@ def test_block_boundaries_frozen():
         ((1, 1), (0, 0)): (0, 2),
     }
     for mp in marked_partitions(2):
-        assert block_boundaries(mp) == frozen[(mp.lam, mp.marks)]
-    assert block_boundaries(MarkedPartition((2, 1), (1, 0))) == (0, 1, 3)
+        assert block_boundaries(to_bipartition(mp)) == frozen[(mp.lam, mp.marks)]
+    mp = MarkedPartition((2, 1), (1, 0))
+    assert block_boundaries(to_bipartition(mp)) == (0, 1, 3)
 
 
 def test_block_sizes_recover_transposed_partition():
     for n in range(1, 8):
         for mp in marked_partitions(n):
-            d = block_boundaries(mp)
+            d = block_boundaries(to_bipartition(mp))
             assert d[0] == 0 and d[-1] == n
             assert all(a <= b for a, b in zip(d, d[1:]))
             sizes = sorted((b - a for a, b in zip(d, d[1:])), reverse=True)
