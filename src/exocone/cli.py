@@ -170,7 +170,10 @@ def _cmd_joseph(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    data = json.load(sys.stdin)
+    try:
+        data = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if isinstance(data, dict) and type(data.get("n")) is int:
         _check_rank("invariant", data["n"], _MAX_INVARIANT_N)
     mp = marked_invariant(ExoticVector.from_json(data))

@@ -2,17 +2,20 @@
 
 A point is a pair (x1, x2) with x1 a vector of length 2n and x2 an
 alternating 2n x 2n matrix.  The cone is cut out by the coefficients of the
-Pfaffian characteristic polynomial of x2 (:func:`invariant_polys`), which
-vanish exactly when x2 * J is nilpotent; :func:`is_in_nilcone` tests the
-latter, and the ``pfaffian`` suite checks that the two agree.  The
-symplectic-group orbits are classified by marked partitions, realized by
-:func:`representative` and computed pointwise by :func:`marked_invariant`,
-which reads the bi-partition of the orbit off two Jordan types: that of
-x2 * J, and that of x2 * J modulo the span of its powers applied to x1.
+Pfaffian characteristic polynomial of x2 (:func:`invariant_polys`, written
+term by term from the signed perfect matchings that the Pfaffian
+minor-summation formula gives), which vanish exactly when x2 * J is
+nilpotent; :func:`is_in_nilcone` tests the latter, and the ``pfaffian``
+suite checks that the two agree.  The symplectic-group orbits are
+classified by marked partitions, realized by :func:`representative` and
+computed pointwise by :func:`marked_invariant`, which reads the
+bi-partition of the orbit off two Jordan types: that of x2 * J, and that
+of x2 * J modulo the span of its powers applied to x1.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .algebra import (
@@ -20,7 +23,6 @@ from .algebra import (
     MultiPoly,
     _type_from_ranks,
     is_nilpotent,
-    pfaffian,
     rank,
 )
 from .partitions import (
@@ -183,47 +185,80 @@ def weight_matrix(n: int, wt: Iterable[int]) -> Matrix:
     )
 
 
+def _signed_matchings(idx: tuple) -> list[tuple[int, tuple]]:
+    """The perfect matchings of idx as (sign, pairs), sign (-1)^crossings,
+    in the order of first-row Pfaffian expansion."""
+    if not idx:
+        return [(1, ())]
+    first = idx[0]
+    out = []
+    for pos in range(1, len(idx)):
+        sign = 1 if pos % 2 else -1
+        rest = idx[1:pos] + idx[pos + 1:]
+        for s, pairs in _signed_matchings(rest):
+            out.append((sign * s, ((first, idx[pos]),) + pairs))
+    return out
+
+
 @lru_cache(maxsize=None)
 def invariant_polys(n: int) -> tuple[MultiPoly, ...]:
     """The defining equations P_1, ..., P_n of the nilpotent locus in the
     alternating factor.
 
-    sum_i t^{n-i} P_i(x) = Pf(t*J - x) up to the constant Pf(J) = +-1,
-    which is divided out so that P_0 = 1.  Variables follow
-    :func:`alt_coords`; P_i is homogeneous of degree i.
+    sum_k t^{n-k} P_k(x) = Pf(t*J - x) / Pf(J), so that P_0 = 1.
+    Variables follow :func:`alt_coords`; P_k is homogeneous of degree k.
+    Each P_k is written term by term from the minor-summation formula
+    (Stembridge 1990; Ishikawa-Wakayama 1995)
+
+        P_k = (-1)^{k(k-1)/2} sum_{|K| = k} Pf(x restricted to K u (n+K)),
+
+    K running over the k-subsets of {1, ..., n}.
+
+    The sign.  Pf(t*J - x) = (-1)^n Pf(x + t*J') and Pf(J) = (-1)^n Pf(J')
+    for J' = -J, whose only upper entries are J'[l, n+l] = 1, so the
+    (-1)^n cancels.  A term of Pf(x + t*J') is a perfect matching of
+    {1, ..., 2n} with sign (-1)^(crossings), in which each pair (l, n+l)
+    may supply t or x[l, n+l] and every other pair supplies its x entry.
+    Group the terms by the set L of l whose pair supplies t, and let
+    K = [n] - L, |K| = k:
+      - the pairs (l, n+l), l in L, give t^{n-k};
+      - they cross each other pairwise, C(n-k, 2) times;
+      - the interval (l, n+l) holds exactly k points of K u (n+K), the
+        i in K above l and the n+i with i in K below l; an edge of the
+        rest of the matching crosses (l, n+l) exactly when one of its
+        ends lies inside, so it is crossed k times mod 2, and k(n-k)
+        times in all;
+      - the rest of the matching is a term of Pf(x restricted to
+        K u (n+K)), with its own sign.
+    At k = 0 this gives Pf(J') = (-1)^{C(n,2)}, the divisor.  So the sign
+    of P_k is (-1) to the C(n-k,2) + k(n-k) + C(n,2), which is C(k,2)
+    mod 2 because C(n,2) = C(n-k,2) + k(n-k) + C(k,2); it does not depend
+    on n.
+
+    A squarefree monomial names its matching and hence K, so nothing
+    cancels: P_k has exactly C(n,k)(2k-1)!! terms, each with coefficient
+    +-1.  The expansion of Pf(t*J - x) over a matrix of polynomials is the
+    oracle the ``pfaffian`` suite compares against.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     coords = alt_coords(n)
     nv = len(coords)
-    col = {pair: k for k, pair in enumerate(coords)}
-    jrows = symplectic_form(n).rows
-    size = 2 * n
-
-    def entry(i: int, j: int) -> MultiPoly:
+    col = {pair: v for v, pair in enumerate(coords)}
+    polys = []
+    for k in range(1, n + 1):
+        eps = -1 if k * (k - 1) // 2 % 2 else 1
+        matchings = _signed_matchings(tuple(range(2 * k)))
         terms = {}
-        if jrows[i][j]:
-            terms[(1,) + (0,) * nv] = jrows[i][j]
-        if i != j:
-            k = col[(i + 1, j + 1)] if i < j else col[(j + 1, i + 1)]
-            exp = tuple(
-                1 if m == k + 1 else 0 for m in range(nv + 1)
-            )
-            terms[exp] = -1 if i < j else 1
-        return MultiPoly(nv + 1, terms)
-
-    mat = Matrix([[entry(i, j) for j in range(size)] for i in range(size)])
-    pf = pfaffian(mat)
-    buckets = {}
-    for exp, c in pf.terms.items():
-        buckets.setdefault(exp[0], {})[exp[1:]] = c
-    lead = buckets.get(n, {})
-    unit = lead.get((0,) * nv, 0)
-    if list(lead) != [(0,) * nv] or unit not in (1, -1):
-        raise AssertionError("t^n coefficient is not a unit constant")
-    return tuple(
-        MultiPoly(nv, buckets.get(n - i, {})) * unit for i in range(1, n + 1)
-    )
+        for subset in combinations(range(1, n + 1), k):
+            points = subset + tuple(n + i for i in subset)
+            for sign, pairs in matchings:
+                exp = [0] * nv
+                for a, b in pairs:
+                    exp[col[(points[a], points[b])]] = 1
+                terms[tuple(exp)] = eps * sign
+        polys.append(MultiPoly._trusted(nv, terms))
+    return tuple(polys)
 
 
 def is_in_nilcone(v: ExoticVector) -> bool:

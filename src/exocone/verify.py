@@ -102,6 +102,45 @@ def pfaffian_term_sum(m: Matrix):
     return total * Fraction(1, factorial(half))
 
 
+def _invariant_polys_by_expansion(n: int) -> tuple[MultiPoly, ...]:
+    """The defining equations by expanding Pf(t*J - x) over a 2n x 2n
+    matrix of polynomials in t and the :func:`alt_coords` variables, then
+    reading off the t^{n-i} coefficients divided by Pf(J).  The oracle for
+    :func:`invariant_polys`, which writes them from matchings instead."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    coords = alt_coords(n)
+    nv = len(coords)
+    col = {pair: k for k, pair in enumerate(coords)}
+    jrows = symplectic_form(n).rows
+    size = 2 * n
+
+    def entry(i: int, j: int) -> MultiPoly:
+        terms = {}
+        if jrows[i][j]:
+            terms[(1,) + (0,) * nv] = jrows[i][j]
+        if i != j:
+            k = col[(i + 1, j + 1)] if i < j else col[(j + 1, i + 1)]
+            exp = tuple(
+                1 if m == k + 1 else 0 for m in range(nv + 1)
+            )
+            terms[exp] = -1 if i < j else 1
+        return MultiPoly(nv + 1, terms)
+
+    mat = Matrix([[entry(i, j) for j in range(size)] for i in range(size)])
+    pf = pfaffian(mat)
+    buckets = {}
+    for exp, c in pf.terms.items():
+        buckets.setdefault(exp[0], {})[exp[1:]] = c
+    lead = buckets.get(n, {})
+    unit = lead.get((0,) * nv, 0)
+    if list(lead) != [(0,) * nv] or unit not in (1, -1):
+        raise AssertionError("t^n coefficient is not a unit constant")
+    return tuple(
+        MultiPoly(nv, buckets.get(n - i, {})) * unit for i in range(1, n + 1)
+    )
+
+
 def _scalar_ratio(f: MultiPoly, g: MultiPoly):
     """The scalar c with f == c * g, or None."""
     if f.nvars != g.nvars or not g.terms or not f.terms:
@@ -466,7 +505,15 @@ def _suite_pfaffian(long: bool = False) -> _Checks:
         if pfaffian(m) ** 2 != m.det():
             ok = False
     c.add("square equals determinant", ok, "20 random rational 6x6")
-    for n in (1, 2, 3):
+    for n in range(1, 6 if long else 5):
+        polys = invariant_polys(n)
+        c.add(
+            f"minor summation equals recursive expansion n={n}",
+            polys == _invariant_polys_by_expansion(n),
+            f"{sum(len(p.terms) for p in polys)} terms",
+        )
+    top = 5 if long else 3
+    for n in range(1, top + 1):
         ny = n * (n - 1) // 2
         nz = n * n
         nv = ny + nz
@@ -500,7 +547,7 @@ def _suite_pfaffian(long: bool = False) -> _Checks:
             ok,
             "P_i([[Y, Z], [-tZ, 0]]) == P_i([[0, Z], [-tZ, 0]])",
         )
-    for n in (1, 2, 3):
+    for n in range(1, top + 1):
         sign = pfaffian(symplectic_form(n))
         c.add(
             f"form pfaffian n={n}",

@@ -125,6 +125,7 @@ def test_dim_rejects_bad_rank(capsys):
         '{"n": 1, "x1": ["0", "0"], "x2_upper": [[1, 5, "1"]]}',
         "not json",
         '{"n": 1, "x1": [1e400, 0], "x2_upper": []}',
+        pytest.param("[" * 200000, id="deeply-nested"),
     ],
 )
 def test_invariant_rejects_bad_input(capsys, monkeypatch, stdin):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -27,7 +28,11 @@ from exocone import (
     weight_vector,
 )
 from exocone import nilcone
-from exocone.verify import _membership_cases, _on_zero_locus
+from exocone.verify import (
+    _invariant_polys_by_expansion,
+    _membership_cases,
+    _on_zero_locus,
+)
 
 
 def alt_values(n, x2):
@@ -94,6 +99,28 @@ def test_invariant_polys_grading():
         for i, f in enumerate(polys, start=1):
             assert f.is_homogeneous()
             assert f.degree() == i
+
+
+def test_invariant_polys_equal_expansion_oracle():
+    for n in range(1, 6):
+        assert invariant_polys(n) == _invariant_polys_by_expansion(n)
+
+
+def test_invariant_polys_are_signed_matchings():
+    # one squarefree monomial with coefficient +-1 per perfect matching
+    # of K u (n+K), for each k-subset K of {1, ..., n}
+    for n in range(1, 7):
+        coords = alt_coords(n)
+        for k, f in enumerate(invariant_polys(n), start=1):
+            assert len(f.terms) == comb(n, k) * prod(range(1, 2 * k, 2))
+            for exp, c in f.terms.items():
+                assert c in (1, -1)
+                assert set(exp) <= {0, 1}
+                pairs = [coords[v] for v, e in enumerate(exp) if e]
+                points = sorted(i for pair in pairs for i in pair)
+                assert len(set(points)) == len(points) == 2 * k
+                subset = points[:k]
+                assert points == subset + [n + i for i in subset]
 
 
 def test_invariant_polys_are_symplectic_invariants():

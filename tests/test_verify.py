@@ -35,6 +35,17 @@ def test_every_suite_passes():
     assert all(line.startswith("PASS ") for line in combined.lines)
 
 
+def test_long_pfaffian_suite_reaches_n5():
+    report = run_suite("pfaffian", long=True)
+    assert report.ok, "\n".join(report.lines)
+    for label in (
+        "minor summation equals recursive expansion",
+        "upper block drops out",
+        "normalized restriction",
+    ):
+        assert f"{label} n=5" in "\n".join(report.lines)
+
+
 def test_report_lines_are_stable():
     first = run_suite("table-n2")
     second = run_suite("table-n2")
