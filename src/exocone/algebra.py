@@ -3,11 +3,15 @@ torus, ring-generic matrices, Pfaffians, and nilpotent Jordan data.
 
 Coefficients stay in int or fractions.Fraction throughout; nothing here
 touches floating point.  Matrix entries only need the ring operations they
-are actually used with, so the same code runs over rationals, finite-field
-scalars, and polynomials.
+are actually used with, so products and powers run over rationals,
+finite-field scalars, and polynomials alike.  Elimination is over the
+rationals only: rank, row_reduce, the Jordan types and the Weyl-group spans
+of :mod:`exocone.joseph` share one fraction-free routine, _echelon_add.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import neg
 from typing import Iterable
 
 from .partitions import Partition
@@ -558,46 +562,66 @@ def _pf(rows, idx):
     return total
 
 
-def _field_rows(m: Matrix) -> list[list]:
-    # ints are promoted to Fraction so that / is exact; true field
-    # entries (Fraction, finite-field scalars) pass through untouched
-    return [
-        [Fraction(e) if isinstance(e, int) else e for e in row]
-        for row in m.rows
-    ]
+def _primitive(v: dict) -> dict:
+    """The primitive integer multiple of the sparse rational vector v: zero
+    entries dropped, denominators cleared, content divided out."""
+    v = {k: c for k, c in v.items() if c}
+    scale = lcm(*(c.denominator for c in v.values()))
+    v = {k: c.numerator * (scale // c.denominator) for k, c in v.items()}
+    g = gcd(*v.values())
+    return {k: c // g for k, c in v.items()}
 
 
-def _rref(rows: list[list]):
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        scale = rows[r][c]
-        rows[r] = [e / scale for e in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _combine(a: int, y: dict, b: int, x: dict) -> dict:
+    """The primitive part of a * y - b * x."""
+    out = {k: a * c for k, c in y.items()}
+    for k, c in x.items():
+        out[k] = out.get(k, 0) - b * c
+    return _primitive(out)
+
+
+def _echelon_add(rows: dict, v: dict, key) -> bool:
+    """Add the sparse rational vector v to the echelon basis rows (pivot ->
+    primitive integer row, zero at every other pivot), pivoting at its
+    entry of largest key; False when v lies in their span.  Integer rows
+    keep Fraction arithmetic out of the elimination (Bareiss 1968)."""
+    v = _primitive(v)
+    for piv, row in rows.items():
+        c = v.get(piv)
+        if c:
+            v = _combine(row[piv], v, c, row)
+    if not v:
+        return False
+    piv = max(v, key=key)
+    p = v[piv]
+    for other, row in rows.items():
+        c = row.get(piv)
+        if c:
+            rows[other] = _combine(p, row, c, v)
+    rows[piv] = v
+    return True
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(_field_rows(m))[1])
+    """Rank of a matrix whose entries are ints or Fractions."""
+    rows = {}
+    return sum(_echelon_add(rows, dict(enumerate(r)), neg) for r in m.rows)
 
 
 def row_reduce(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, over an exact field."""
-    rows, pivots = _rref(_field_rows(m))
-    return Matrix(rows), tuple(pivots)
+    """Reduced row echelon form and pivot columns of a matrix whose entries
+    are ints or Fractions; the form has Fraction entries and the shape of
+    m, its zero rows last."""
+    rows = {}
+    for r in m.rows:
+        _echelon_add(rows, dict(enumerate(r)), neg)
+    pivots = sorted(rows)
+    out = [
+        [Fraction(rows[p].get(c, 0), rows[p][p]) for c in range(m.ncols)]
+        for p in pivots
+    ]
+    out += [[Fraction(0)] * m.ncols for _ in range(m.nrows - len(pivots))]
+    return Matrix(out), tuple(pivots)
 
 
 def perm_sign(p) -> int:
@@ -614,7 +638,7 @@ def perm_sign(p) -> int:
 
 def kernel_basis(m: Matrix) -> list[tuple]:
     """A basis of the right kernel, one vector per free column."""
-    rows, pivots = _rref(_field_rows(m))
+    red, pivots = row_reduce(m)
     nc = m.ncols
     free = [c for c in range(nc) if c not in pivots]
     basis = []
@@ -622,7 +646,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
         v = [0] * nc
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = -red.rows[r][fc]
         basis.append(tuple(v))
     return basis
 
@@ -633,17 +657,14 @@ def solve_linear(m: Matrix, rhs) -> tuple[tuple, list[tuple]] | None:
     rhs = tuple(rhs)
     if len(rhs) != m.nrows:
         raise ValueError("shape mismatch")
-    aug = _field_rows(m)
-    for row, b in zip(aug, rhs):
-        row.append(Fraction(b) if isinstance(b, int) else b)
-    if not aug:
+    if not rhs:
         return (), []
-    rows, pivots = _rref(aug)
+    red, pivots = row_reduce(Matrix(r + (b,) for r, b in zip(m.rows, rhs)))
     if m.ncols in pivots:
         return None
     particular = [0] * m.ncols
     for r, pc in enumerate(pivots):
-        particular[pc] = rows[r][-1]
+        particular[pc] = red.rows[r][-1]
     return tuple(particular), kernel_basis(m)
 
 
@@ -657,24 +678,38 @@ def is_nilpotent(m: Matrix) -> bool:
 
 
 def jordan_type(m: Matrix):
-    """Jordan type of a nilpotent matrix over an exact field, as the
-    partition listing block sizes.
+    """Jordan type of a nilpotent matrix whose entries are ints or
+    Fractions, as the partition listing block sizes.
 
     Read off the ranks of the powers of m (see :func:`_type_from_ranks`);
     raises when m is not nilpotent.
     """
     if m.nrows != m.ncols:
         raise ValueError("jordan type needs a square matrix")
-    n = m.nrows
-    ranks = [n]
+    return _quotient_type(m.nrows, _nonzero_powers(m))
+
+
+def _nonzero_powers(m: Matrix) -> list[Matrix]:
+    """The nonzero powers m, m^2, ..., m^{d-1} of a square matrix, where
+    m^d is the first zero power; raises ValueError when m^size != 0."""
+    powers = []
     power = m
-    while True:
-        ranks.append(rank(power))
-        if ranks[-1] == 0:
-            return _type_from_ranks(ranks)
-        if len(ranks) > n:
+    while not power.is_zero():
+        powers.append(power)
+        if len(powers) == m.nrows:
             raise ValueError("matrix is not nilpotent")
         power = power @ m
+    return powers
+
+
+def _quotient_type(size: int, powers: list[Matrix], span=()) -> Partition:
+    """The Jordan type of the map that m induces on V / span, given the
+    nonzero powers of m and an m-stable list of independent vectors span:
+    m^k has rank rank[columns of m^k | span] - dim span there (size -
+    dim span at k = 0, and 0 from k = d on)."""
+    span = tuple(span)
+    ranks = [rank(Matrix(p.transpose().rows + span)) - len(span) for p in powers]
+    return _type_from_ranks([size - len(span), *ranks, 0])
 
 
 def _type_from_ranks(ranks) -> Partition:

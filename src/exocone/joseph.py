@@ -14,14 +14,15 @@ the slices attached to marked partitions.  They are products of roots
 e_k^2 - e_l^2 over disjoint variable blocks, so they are assembled term by
 term from one alternant per block.  :func:`macdonald_span` spans the
 Weyl-group representation they generate by closing the span under the
-simple reflections rather than enumerating the group.
+simple reflections rather than enumerating the group, in the echelon form
+that ``rank`` uses too.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
-from .algebra import LaurentChar, MultiPoly, linear_form
+from .algebra import LaurentChar, MultiPoly, _echelon_add, linear_form
 from .partitions import BiPartition, Partition
 from .weyl import act_on_poly, block_boundaries, simple_reflection
 
@@ -180,35 +181,6 @@ def _grlex(exp: Weight):
     return sum(exp), exp
 
 
-def _add_to_echelon(rows: dict, f: MultiPoly) -> bool:
-    """Extend the reduced echelon basis rows (pivot monomial -> row with
-    pivot coefficient 1) by f; False when f already lies in their span."""
-    v = {exp: Fraction(c) for exp, c in f.terms.items()}
-    for piv, row in rows.items():
-        _axpy(v, -v.get(piv, 0), row)
-    if not v:
-        return False
-    piv = max(v, key=_grlex)
-    scale = v[piv]
-    v = {exp: c / scale for exp, c in v.items()}
-    for row in rows.values():
-        _axpy(row, -row.get(piv, 0), v)
-    rows[piv] = v
-    return True
-
-
-def _axpy(y: dict, a, x: dict) -> None:
-    """y += a * x in place, dropping zero coefficients."""
-    if not a:
-        return
-    for exp, c in x.items():
-        acc = y.get(exp, 0) + a * c
-        if acc:
-            y[exp] = acc
-        else:
-            del y[exp]
-
-
 def macdonald_span(seed: MultiPoly, n: int) -> tuple[int, list[MultiPoly]]:
     """Dimension and reduced basis of the span of the Weyl-group orbit of
     seed.
@@ -217,9 +189,9 @@ def macdonald_span(seed: MultiPoly, n: int) -> tuple[int, list[MultiPoly]]:
     group: each new basis member is moved by every reflection, and an image
     joins the basis only when it is not already in the span, so n * dim
     images are built instead of the whole orbit.  The rank stays capped
-    at 5.  The basis is the reduced row echelon form over the
-    graded-lexicographic monomial order, largest monomial first, hence
-    deterministic.
+    at 5.  The basis, kept by the elimination routine of ``rank``, is the
+    reduced row echelon form over the graded-lexicographic monomial order,
+    largest monomial first, hence deterministic.
     """
     if n > 5:
         raise ValueError(f"rank {n} too large; spans are supported for n <= 5")
@@ -227,18 +199,19 @@ def macdonald_span(seed: MultiPoly, n: int) -> tuple[int, list[MultiPoly]]:
         raise ValueError("seed has the wrong number of variables")
     gens = [simple_reflection(i, n) for i in range(1, n + 1)]
     rows = {}
-    todo = [seed] if _add_to_echelon(rows, seed) else []
+    todo = [seed] if _echelon_add(rows, seed.terms, _grlex) else []
     while todo:
         f = todo.pop()
         for s in gens:
             image = act_on_poly(s, f)
-            if _add_to_echelon(rows, image):
+            if _echelon_add(rows, image.terms, _grlex):
                 todo.append(image)
     basis = []
     for piv in sorted(rows, key=_grlex, reverse=True):
         row = rows[piv]
         order = sorted(row, key=_grlex, reverse=True)
-        basis.append(MultiPoly._trusted(n, {exp: row[exp] for exp in order}))
+        terms = {exp: Fraction(row[exp], row[piv]) for exp in order}
+        basis.append(MultiPoly._trusted(n, terms))
     return len(basis), basis
 
 

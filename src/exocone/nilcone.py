@@ -21,9 +21,10 @@ from typing import Iterable
 from .algebra import (
     Matrix,
     MultiPoly,
-    _type_from_ranks,
+    _nonzero_powers,
+    _quotient_type,
     is_nilpotent,
-    rank,
+    rank,  # not called here; perfbench/selftest.py traces nilcone.rank
 )
 from .partitions import (
     MarkedPartition,
@@ -280,28 +281,11 @@ def as_endomorphism(v: ExoticVector) -> Matrix:
 
 
 def _powers(v: ExoticVector) -> list[Matrix]:
-    """The nonzero powers M, M^2, ..., M^{d-1} of M = x2 * J, where M^d is
-    the first zero power; raises ValueError when M^{2n} != 0, i.e. off
-    the cone."""
-    m = as_endomorphism(v)
-    powers = []
-    power = m
-    while not power.is_zero():
-        powers.append(power)
-        if len(powers) == m.nrows:
-            raise ValueError("vector is not in the exotic nilcone")
-        power = power @ m
-    return powers
-
-
-def _quotient_type(size: int, powers: list[Matrix], span=()) -> Partition:
-    """The Jordan type of the map that M induces on V / span, for span an
-    M-stable list of independent vectors: M^k has rank
-    rank[columns of M^k | span] - dim span there (size - dim span at
-    k = 0, and 0 from k = d on)."""
-    span = tuple(span)
-    ranks = [rank(Matrix(p.transpose().rows + span)) - len(span) for p in powers]
-    return _type_from_ranks([size - len(span), *ranks, 0])
+    """The nonzero powers of M = x2 * J; raises ValueError off the cone."""
+    try:
+        return _nonzero_powers(as_endomorphism(v))
+    except ValueError:
+        raise ValueError("vector is not in the exotic nilcone") from None
 
 
 def _halved_type(size: int, powers: list[Matrix]) -> Partition:

@@ -19,6 +19,7 @@ from .algebra import (
     lowest_term,
     perm_sign,
     pfaffian,
+    rank,
     row_reduce,
 )
 from .charp import verify_transport
@@ -235,6 +236,36 @@ def _full_group_span(seed: MultiPoly, n: int) -> list[MultiPoly]:
     ]
 
 
+def _tangent_matrix(v: ExoticVector) -> Matrix:
+    """The differential at v of the orbit map, X -> (X x1, X x2 + x2 X^T)
+    on sp(2n) = {J S : S symmetric}: one row per S = E_ab + E_ba, a <= b,
+    whose columns are the x1 coordinates, then the upper x2 coordinates in
+    :func:`alt_coords` order.
+
+    Column a of J has one entry s = J[r, a]: +1 at r = a + n, -1 at
+    r = a - n.  So J S is a sum of two unit matrices s E_rc, one for
+    (a, c = b) and one for (b, c = a), and s E_rc moves x1 by s x1[c] at r
+    and x2 by s (x2[c, j] at (r, j) plus x2[i, c] at (i, r)).
+    """
+    n, size = v.n, 2 * v.n
+    x1, x2 = v.x1, v.x2.rows
+    col = {(i - 1, j - 1): size + k for k, (i, j) in enumerate(alt_coords(n))}
+    partner = [(a + n, 1) for a in range(n)]
+    partner += [(a - n, -1) for a in range(n, size)]
+    rows = []
+    for a in range(size):
+        for b in range(a, size):
+            row = [0] * (size + len(col))
+            for r, s, c in (partner[a] + (b,), partner[b] + (a,)):
+                row[r] += s * x1[c]
+                for j in range(r + 1, size):
+                    row[col[(r, j)]] += s * x2[c][j]
+                for i in range(r):
+                    row[col[(i, r)]] += s * x2[i][c]
+            rows.append(row)
+    return Matrix(rows)
+
+
 def _suite_degree(long: bool = False) -> _Checks:
     c = _Checks()
     for n in range(9):
@@ -290,6 +321,18 @@ def _suite_degree(long: bool = False) -> _Checks:
             ok,
             f"{len(seeds)} seeds x {len(group)} group elements",
         )
+    # the orbit through v has the dimension of its tangent space at v
+    top = 6 if long else 4
+    orbits = [mp for n in range(1, top + 1) for mp in marked_partitions(n)]
+    ok = all(
+        rank(_tangent_matrix(representative(mp))) == orbit_dim(mp)
+        for mp in orbits
+    )
+    c.add(
+        f"tangent rank equals orbit_dim n=1..{top}",
+        ok,
+        f"{len(orbits)} orbits",
+    )
     return c
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -237,14 +238,45 @@ def test_jordan_type():
         jordan_type(Matrix.identity(2))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.lists(
-        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
+@st.composite
+def small_matrices(draw):
+    """Matrices up to 4 x 5 with int or Fraction entries."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
     )
-)
-def test_rank_transpose_invariant(rows):
-    m = Matrix(rows)
-    assert rank(m) == rank(m.transpose())
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return Matrix(draw(st.lists(row, min_size=nrows, max_size=nrows)))
+
+
+def largest_nonzero_minor(m):
+    for k in range(min(m.nrows, m.ncols), 0, -1):
+        for rows in combinations(m.rows, k):
+            for cols in combinations(range(m.ncols), k):
+                if Matrix([[r[c] for c in cols] for r in rows]).det():
+                    return k
+    return 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_rank_transpose_invariant(m):
+    assert rank(m) == rank(m.transpose()) == largest_nonzero_minor(m)
+    red, pivots = row_reduce(m)
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+    assert len(pivots) == rank(m)
+    assert list(pivots) == sorted(set(pivots))
+    for r, p in enumerate(pivots):
+        assert red.rows[r][p] == 1
+        assert not any(red.rows[r][:p])
+        assert all(red.rows[i][p] == 0 for i in range(m.nrows) if i != r)
+    assert not any(any(row) for row in red.rows[len(pivots):])
+    # each row of m is the combination of the reduced rows that its own
+    # pivot-column entries read off
+    for x in m.rows:
+        combo = [
+            sum(x[p] * red.rows[r][c] for r, p in enumerate(pivots))
+            for c in range(m.ncols)
+        ]
+        assert combo == list(x)

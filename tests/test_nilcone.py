@@ -27,7 +27,7 @@ from exocone import (
     weight_matrix,
     weight_vector,
 )
-from exocone import nilcone
+from exocone import algebra, nilcone
 from exocone.verify import (
     _invariant_polys_by_expansion,
     _membership_cases,
@@ -201,7 +201,7 @@ def test_marked_invariant_raises_assertion_on_impossible_types(monkeypatch):
     # turn them into exit 2
     v = representative(MarkedPartition((2,), (1,)))
     types = iter([Partition((2, 2)), Partition((1,))])
-    monkeypatch.setattr(nilcone, "_type_from_ranks", lambda ranks: next(types))
+    monkeypatch.setattr(algebra, "_type_from_ranks", lambda ranks: next(types))
     with pytest.raises(AssertionError, match="does not contain"):
         marked_invariant(v)
     monkeypatch.undo()
@@ -216,17 +216,29 @@ def test_marked_invariant_raises_assertion_on_impossible_types(monkeypatch):
 
 def test_marked_invariant_constant_on_transvection_orbits():
     rng = random.Random(7)
+    fractional = 0
     for n in (1, 2, 3, 4):
         J = symplectic_form(n)
+        # diag(D, D^-1) is symplectic; a diagonal D off the integers gives
+        # conjugates whose entries are not integers
+        d = [Fraction(3, 2) if i % 2 else Fraction(2, 3) for i in range(n)]
+        diag = {(i, i): d[i] for i in range(n)}
+        diag.update({(n + i, n + i): 1 / d[i] for i in range(n)})
+        scale = Matrix.from_entries(2 * n, 2 * n, diag)
+        assert scale.transpose() @ J @ scale == J
         for _ in range(3):
             t = random_transvection(n, rng)
             assert t.transpose() @ J @ t == J
-            for mp in marked_partitions(n):
-                v = representative(mp)
-                moved = ExoticVector(
-                    n, t.apply(v.x1), t @ v.x2 @ t.transpose()
-                )
-                assert marked_invariant(moved) == mp
+            for g in (t, scale @ t):
+                for mp in marked_partitions(n):
+                    v = representative(mp)
+                    moved = ExoticVector(
+                        n, g.apply(v.x1), g @ v.x2 @ g.transpose()
+                    )
+                    entries = moved.x1 + sum(moved.x2.rows, ())
+                    fractional += any(e.denominator != 1 for e in entries)
+                    assert marked_invariant(moved) == mp
+    assert fractional
 
 
 def test_endomorphism_conjugation_covariance():

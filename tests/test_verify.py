@@ -46,6 +46,12 @@ def test_long_pfaffian_suite_reaches_n5():
         assert f"{label} n=5" in "\n".join(report.lines)
 
 
+def test_long_degree_suite_reaches_n6():
+    report = run_suite("degree", long=True)
+    assert report.ok, "\n".join(report.lines)
+    assert "PASS tangent rank equals orbit_dim n=1..6: 138 orbits" in report.lines
+
+
 def test_report_lines_are_stable():
     first = run_suite("table-n2")
     second = run_suite("table-n2")
