@@ -681,35 +681,38 @@ def jordan_type(m: Matrix):
     """Jordan type of a nilpotent matrix whose entries are ints or
     Fractions, as the partition listing block sizes.
 
-    Read off the ranks of the powers of m (see :func:`_type_from_ranks`);
-    raises when m is not nilpotent.
+    Read off the image chain of m (see :func:`_chain_type`); raises when
+    m is not nilpotent.
     """
     if m.nrows != m.ncols:
         raise ValueError("jordan type needs a square matrix")
-    return _quotient_type(m.nrows, _nonzero_powers(m))
+    return _chain_type(m)
 
 
-def _nonzero_powers(m: Matrix) -> list[Matrix]:
-    """The nonzero powers m, m^2, ..., m^{d-1} of a square matrix, where
-    m^d is the first zero power; raises ValueError when m^size != 0."""
-    powers = []
-    power = m
-    while not power.is_zero():
-        powers.append(power)
-        if len(powers) == m.nrows:
+def _chain_type(m: Matrix, span=()) -> Partition:
+    """The Jordan type of the map that the square matrix m induces on
+    V / W, for W the span of an m-stable list of vectors span; raises
+    ValueError when that map is not nilpotent.
+
+    m^k has rank dim U_k - dim W on V / W, for U_k = m^k V + W.  Since
+    m W lies in W, U_k = m U_{k-1} + W, so the images under m of the
+    vectors that enlarge an echelon basis of U_{k-1} span U_k modulo W;
+    no power of m is formed.  The chain only shrinks, and a step that
+    keeps its dimension means it has stopped above W.
+    """
+    base = {}
+    for w in span:
+        _echelon_add(base, dict(enumerate(w)), neg)
+    ranks = [m.nrows - len(base)]
+    vecs = m.transpose().rows
+    while ranks[-1]:
+        rows = dict(base)
+        kept = [v for v in vecs if _echelon_add(rows, dict(enumerate(v)), neg)]
+        if len(kept) == ranks[-1]:
             raise ValueError("matrix is not nilpotent")
-        power = power @ m
-    return powers
-
-
-def _quotient_type(size: int, powers: list[Matrix], span=()) -> Partition:
-    """The Jordan type of the map that m induces on V / span, given the
-    nonzero powers of m and an m-stable list of independent vectors span:
-    m^k has rank rank[columns of m^k | span] - dim span there (size -
-    dim span at k = 0, and 0 from k = d on)."""
-    span = tuple(span)
-    ranks = [rank(Matrix(p.transpose().rows + span)) - len(span) for p in powers]
-    return _type_from_ranks([size - len(span), *ranks, 0])
+        ranks.append(len(kept))
+        vecs = [m.apply(v) for v in kept]
+    return _type_from_ranks(ranks)
 
 
 def _type_from_ranks(ranks) -> Partition:

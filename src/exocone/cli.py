@@ -50,13 +50,6 @@ def _fmt_parts(parts) -> str:
     return ",".join(parts) if parts else "-"
 
 
-def _trimmed_marks(mp: MarkedPartition) -> tuple[int, ...]:
-    marks = list(mp.marks)
-    while marks and marks[-1] == 0:
-        marks.pop()
-    return tuple(marks)
-
-
 def _emit(args, text: str, obj) -> None:
     if args.format == "json":
         print(json.dumps(obj))
@@ -72,9 +65,9 @@ def _emit(args, text: str, obj) -> None:
 # n = 1000) and orbit_dim quadratically (4.75 s at n = 10000).  The
 # expanded ordinary Joseph product of n^2 linear forms did not finish in
 # 20 s at n = 8, and the block product of --mu 1,...,1 took 7.1 s at n = 9.
-# Classifying a point with 95% of its x2 entries nonzero took 0.03 s at
-# n = 12 and 0.11 s at n = 16 from int entries; an invariant request at
-# n = 12 took up to 0.28 s, since its entries are parsed as Fractions.
+# Classifying a point with 95% of its x2 entries nonzero (entries up to
+# 54) took 0.06 s at n = 12 and 0.19 s at n = 16, and an invariant request
+# at n = 12 took 0.08-0.10 s, since integral entries are parsed as ints.
 _MAX_ENUMERATE_N = 20
 _MAX_JOSEPH_N = 7
 _MAX_DPOLY_N = 8
@@ -116,7 +109,7 @@ def _cmd_enumerate(args) -> int:
     else:
         for mp, bp in rows:
             print(
-                f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(_trimmed_marks(mp))}"
+                f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(mp.to_json()['a'])}"
                 f" mu={_fmt_parts(bp.mu)} nu={_fmt_parts(bp.nu)}"
             )
     return 0
@@ -139,7 +132,7 @@ def _cmd_convert(args) -> int:
         mp = from_bipartition(_bipartition_from_args(args, _MAX_ENUMERATE_N))
         _emit(
             args,
-            f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(_trimmed_marks(mp))}",
+            f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(mp.to_json()['a'])}",
             mp.to_json(),
         )
         return 0
@@ -181,7 +174,7 @@ def _cmd_invariant(args) -> int:
     mp = marked_invariant(ExoticVector.from_json(data))
     _emit(
         args,
-        f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(_trimmed_marks(mp))}",
+        f"lambda={_fmt_parts(mp.lam)} a={_fmt_parts(mp.to_json()['a'])}",
         mp.to_json(),
     )
     return 0

@@ -10,7 +10,8 @@ suite checks that the two agree.  The symplectic-group orbits are
 classified by marked partitions, realized by :func:`representative` and
 computed pointwise by :func:`marked_invariant`, which reads the
 bi-partition of the orbit off two Jordan types: that of x2 * J, and that
-of x2 * J modulo the span of its powers applied to x1.
+of x2 * J modulo the span of its powers applied to x1, both read off the
+image chain of x2 * J without forming a power of a matrix.
 """
 
 from fractions import Fraction
@@ -21,9 +22,9 @@ from typing import Iterable
 from .algebra import (
     Matrix,
     MultiPoly,
-    _nonzero_powers,
-    _quotient_type,
+    _chain_type,
     is_nilpotent,
+    jordan_type,
     rank,  # not called here; perfbench/selftest.py traces nilcone.rank
 )
 from .partitions import (
@@ -148,15 +149,17 @@ class ExoticVector:
 _MAX_EXPONENT = 4300
 
 
-def _exact(value) -> Fraction:
+def _exact(value) -> int | Fraction:
+    """value as an int when it is integral, otherwise as a Fraction."""
     try:
         if isinstance(value, str):
             exponent = value.lower().partition("e")[2]
             if exponent and abs(int(exponent)) > _MAX_EXPONENT:
                 raise ValueError
-        return Fraction(value)
+        f = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{value!r} is not an exact number") from None
+    return f.numerator if f.denominator == 1 else f
 
 
 def weight_vector(n: int, wt: Iterable[int]) -> tuple:
@@ -280,16 +283,11 @@ def as_endomorphism(v: ExoticVector) -> Matrix:
     return v.x2 @ symplectic_form(v.n)
 
 
-def _powers(v: ExoticVector) -> list[Matrix]:
-    """The nonzero powers of M = x2 * J; raises ValueError off the cone."""
+def _halved_type(m: Matrix) -> Partition:
     try:
-        return _nonzero_powers(as_endomorphism(v))
+        jt = jordan_type(m)
     except ValueError:
         raise ValueError("vector is not in the exotic nilcone") from None
-
-
-def _halved_type(size: int, powers: list[Matrix]) -> Partition:
-    jt = _quotient_type(size, powers)
     if len(jt) % 2 or any(jt[2 * k] != jt[2 * k + 1] for k in range(len(jt) // 2)):
         raise ValueError(f"Jordan type {list(jt)} does not pair up")
     return Partition(jt[0::2])
@@ -302,7 +300,7 @@ def exotic_jordan(v: ExoticVector) -> Partition:
     multiplicity; the partition of n listing each size once per pair is
     returned.  Raises when v is off the cone or the type does not pair up.
     """
-    return _halved_type(2 * v.n, _powers(v))
+    return _halved_type(as_endomorphism(v))
 
 
 def marked_invariant(v: ExoticVector) -> MarkedPartition:
@@ -314,9 +312,9 @@ def marked_invariant(v: ExoticVector) -> MarkedPartition:
     spanned by the nonzero vectors M^k x1 (which are independent), is lam
     together with rho = (nu_1 + mu_2, nu_2 + mu_3, ...).  Hence
     mu_i = sum_{j >= i} (lam_j - rho_j), nu = lam - mu, and the orbit is
-    ``from_bipartition((mu, nu))``.  The ranks of the powers of M give the
-    first type; the ranks of [columns of M^k | W], minus dim W, give the
-    second (:func:`_quotient_type` with an empty and with the full span).
+    ``from_bipartition((mu, nu))``.  Both types are read off the image
+    chain M^k V + W (:func:`exocone.algebra._chain_type`), with W = 0 for
+    the first; the chain x1, M x1, ... ends because lam is read first.
 
     Why this is right: the group moves M by g M g^-1 and x1 by g x1, so
     both types are orbit invariants, and ranks do not depend on the field.
@@ -329,10 +327,13 @@ def marked_invariant(v: ExoticVector) -> MarkedPartition:
     bi-partition, hence not the image of a marked partition) raise
     AssertionError.
     """
-    size, powers = 2 * v.n, _powers(v)
-    lam = _halved_type(size, powers)
-    chain = [w for w in (v.x1, *(p.apply(v.x1) for p in powers)) if any(w)]
-    quotient = _quotient_type(size, powers, chain)
+    m = as_endomorphism(v)
+    lam = _halved_type(m)
+    chain, w = [], v.x1
+    while any(w):
+        chain.append(w)
+        w = m.apply(w)
+    quotient = _chain_type(m, chain)
     rest = list(quotient)
     for part in lam:
         if part not in rest:

@@ -662,7 +662,7 @@ def _suite_pfaffian(long: bool = False) -> _Checks:
 
 def _suite_roundtrip(long: bool = False) -> _Checks:
     c = _Checks()
-    for n in range(6):
+    for n in range(9 if long else 6):
         count = 0
         ok = True
         for mp in marked_partitions(n):

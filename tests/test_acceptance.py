@@ -95,3 +95,7 @@ def test_criterion_09_char_two_points():
 
 def test_criterion_10_block_order_convention():
     _suite_within(10, "dconvention", 30)
+
+
+def test_criterion_11_roundtrip():
+    _suite_within(11, "roundtrip", 10)

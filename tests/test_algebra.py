@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exocone import algebra
 from exocone import (
     GF,
     LaurentChar,
@@ -236,6 +237,88 @@ def test_jordan_type():
     assert jordan_type(m) == (3, 2)
     with pytest.raises(ValueError):
         jordan_type(Matrix.identity(2))
+
+
+def _scalar(rng, exact):
+    c = rng.choice([-2, -1, 1, 2])
+    return c if exact is int else Fraction(c, rng.choice([1, 2, 3]))
+
+
+def _conjugated(rng, m, exact):
+    """P m P^-1 for P a random product of elementary and diagonal
+    matrices, each inverted exactly; with exact=int, P and P^-1 stay
+    integral."""
+    rows = [list(r) for r in m.rows]
+    size = len(rows)
+    for _ in range(2 * size):
+        i, j = rng.randrange(size), rng.randrange(size)
+        if i == j:
+            # D m D^-1 for D = diag(1, ..., d at i, ..., 1)
+            d = -1 if exact is int else _scalar(rng, exact)
+            inv = d if exact is int else 1 / d
+            rows[i] = [d * a for a in rows[i]]
+            for r in rows:
+                r[i] *= inv
+        else:
+            # E m E^-1 for E = I + c e_ij: row i += c row j, then
+            # column j -= c column i
+            c = _scalar(rng, exact)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            for r in rows:
+                r[j] -= c * r[i]
+    return Matrix(rows)
+
+
+def _ranks(matrices):
+    out = []
+    for r in matrices:
+        out.append(r)
+        if not r:
+            return out
+    raise AssertionError("the ranks never reach 0")
+
+
+@pytest.mark.parametrize("scalar", [int, Fraction])
+def test_chain_type_matches_the_ranks_of_the_powers(scalar):
+    """jordan_type and the quotient type of the image chain against the
+    route they replace: ranks of the powers of m, and of [m^k | chain]."""
+    rng = random.Random(12)
+    for _ in range(120):
+        size = rng.randint(0, 6)
+        top = Matrix.from_entries(size, size, {
+            (i, j): scalar(rng.choice([0, 0, 1, -1, 2]))
+            for i in range(size)
+            for j in range(i + 1, size)
+        })
+        m = _conjugated(rng, top, scalar)
+        powers = [m ** k for k in range(size + 1)]
+        expected = algebra._type_from_ranks(_ranks(rank(p) for p in powers))
+        assert jordan_type(m) == expected
+        chain = []
+        w = tuple(scalar(rng.randint(-2, 2)) for _ in range(size))
+        while any(w):
+            chain.append(w)
+            w = m.apply(w)
+        quotient = algebra._type_from_ranks(_ranks(
+            rank(Matrix(p.transpose().rows + tuple(chain))) - len(chain)
+            for p in powers
+        ))
+        assert algebra._chain_type(m, chain) == quotient
+        if size:
+            # upper triangular with a nonzero eigenvalue at (0, 0)
+            diag = Matrix.from_entries(size, size, {
+                (i, i): scalar(rng.choice([0, 1, -2] if i else [1, -2]))
+                for i in range(size)
+            })
+            with pytest.raises(ValueError, match="matrix is not nilpotent"):
+                jordan_type(_conjugated(rng, top + diag, scalar))
+
+
+def test_chain_type_works_modulo_the_span():
+    m = Matrix([[0, 0], [0, 1]])
+    assert algebra._chain_type(m, [(0, 1)]) == (1,)
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
+        algebra._chain_type(m, [(1, 0)])
 
 
 @st.composite

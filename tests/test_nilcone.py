@@ -289,6 +289,28 @@ def test_exotic_vector_json_round_trip():
     assert all(isinstance(c, str) for c in data["x1"])
 
 
+def test_exotic_vector_from_json_keeps_integral_entries_as_ints():
+    data = {
+        "n": 2,
+        "x1": ["3", "1/2", "-4/2", "0"],
+        "x2_upper": [[1, 2, "5"], [1, 3, "1/2"], [2, 4, "6/3"]],
+    }
+    v = ExoticVector.from_json(data)
+    assert [type(c) for c in v.x1] == [int, Fraction, int, int]
+    assert v.x1 == (3, Fraction(1, 2), -2, 0)
+    rows = v.x2.rows
+    assert (type(rows[0][1]), type(rows[1][0])) == (int, int)
+    assert (type(rows[0][2]), type(rows[2][0])) == (Fraction, Fraction)
+    assert (rows[1][3], rows[3][1]) == (2, -2) and type(rows[1][3]) is int
+    assert v.to_json() == {
+        "n": 2,
+        "x1": ["3", "1/2", "-2", "0"],
+        "x2_upper": [[1, 2, "5"], [1, 3, "1/2"], [2, 4, "2"]],
+    }
+    again = ExoticVector.from_json(v.to_json())
+    assert again == v and again.to_json() == v.to_json()
+
+
 def test_exotic_vector_validation():
     with pytest.raises(ValueError):
         ExoticVector(1, (0,), Matrix.zeros(2, 2))  # x1 length

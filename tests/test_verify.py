@@ -52,6 +52,12 @@ def test_long_degree_suite_reaches_n6():
     assert "PASS tangent rank equals orbit_dim n=1..6: 138 orbits" in report.lines
 
 
+def test_long_roundtrip_suite_reaches_n8():
+    report = run_suite("roundtrip", long=True)
+    assert report.ok, "\n".join(report.lines)
+    assert "PASS representative roundtrip n=8: 185 orbits" in report.lines
+
+
 def test_report_lines_are_stable():
     first = run_suite("table-n2")
     second = run_suite("table-n2")
