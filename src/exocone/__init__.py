@@ -42,7 +42,6 @@ from .joseph import (
     joseph_poly,
     k_polynomial,
     macdonald_poly,
-    macdonald_poly_direct,
     macdonald_span,
 )
 from .nilcone import (
@@ -50,15 +49,12 @@ from .nilcone import (
     alt_coords,
     as_endomorphism,
     cone_dim,
-    exotic_jordan,
     invariant_polys,
     is_in_nilcone,
     marked_invariant,
     orbit_dim,
     representative,
     symplectic_form,
-    weight_matrix,
-    weight_vector,
 )
 from .partitions import (
     BiPartition,
@@ -73,13 +69,12 @@ from .partitions import (
     partitions,
     to_bipartition,
 )
-from .verify import SuiteReport, pfaffian_term_sum, run_suite, suite_names
+from .verify import SuiteReport, run_suite, suite_names
 from .weyl import (
     SignedPermutation,
     act_on_poly,
     block_boundaries,
     exotic_weights,
-    flag_model_weights,
     is_stable_weight,
     positive_roots,
     simple_reflection,

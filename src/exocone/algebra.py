@@ -384,14 +384,12 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int, zero=0) -> "Matrix":
-        return cls([[zero] * ncols for _ in range(nrows)])
+    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
-    def identity(cls, n: int, one=1, zero=0) -> "Matrix":
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries: dict) -> "Matrix":
@@ -622,18 +620,6 @@ def row_reduce(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     ]
     out += [[Fraction(0)] * m.ncols for _ in range(m.nrows - len(pivots))]
     return Matrix(out), tuple(pivots)
-
-
-def perm_sign(p) -> int:
-    """Sign of a permutation given as a sequence of distinct comparables."""
-    p = tuple(p)
-    inversions = sum(
-        1
-        for a in range(len(p))
-        for b in range(a + 1, len(p))
-        if p[a] > p[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on bad
 input.  Every subcommand honours ``--format json`` for machine-readable
-output; the default text forms are stable one-line renderings.
+output; the default text forms are stable one-line renderings, except that
+``rep`` prints the JSON point in both formats, the form ``invariant`` reads.
 """
 
 import argparse
@@ -181,8 +182,9 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    v = representative(_marked_from_args(args))
-    print(json.dumps(v.to_json()))
+    point = representative(_marked_from_args(args)).to_json()
+    # the text form is the JSON point too: it is what invariant reads
+    _emit(args, json.dumps(point), point)
     return 0
 
 

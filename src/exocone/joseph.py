@@ -163,20 +163,6 @@ def macdonald_poly(bp: BiPartition) -> MultiPoly:
     return _block_product(sizes[:mu1], sizes[mu1:])
 
 
-def macdonald_poly_direct(mu, nu) -> MultiPoly:
-    """The same family written directly on the two partitions: one
-    square-difference block per part of mu, one per part of nu shifted past
-    |mu|, and the product of all variables past |mu|.
-
-    The mu blocks tile the first |mu| variables with the smallest part
-    first; the nu blocks tile the rest largest part first.  The asymmetry
-    matches the flag-block order of :func:`macdonald_poly`, which walks the
-    mu side of the flag from the shortest column up.
-    """
-    mu, nu = Partition(mu), Partition(nu)
-    return _block_product(mu[::-1], nu)
-
-
 def _grlex(exp: Weight):
     return sum(exp), exp
 

@@ -162,33 +162,6 @@ def _exact(value) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-def weight_vector(n: int, wt: Iterable[int]) -> tuple:
-    """The x1 basis vector of torus weight wt = +-eps_i."""
-    wt = tuple(wt)
-    support = [(k, c) for k, c in enumerate(wt) if c]
-    if len(wt) != n or len(support) != 1 or abs(support[0][1]) != 1:
-        raise ValueError(f"{wt} is not a weight of the vector factor")
-    k, c = support[0]
-    vec = [0] * (2 * n)
-    vec[k if c > 0 else n + k] = 1
-    return tuple(vec)
-
-
-def weight_matrix(n: int, wt: Iterable[int]) -> Matrix:
-    """An x2 basis matrix of torus weight wt, for wt a sum of two distinct
-    signed coordinates eps_i +- eps_j."""
-    wt = tuple(wt)
-    support = [(k, c) for k, c in enumerate(wt) if c]
-    if len(wt) != n or len(support) != 2 or any(abs(c) != 1 for _, c in support):
-        raise ValueError(f"{wt} is not a weight of the alternating factor")
-    (i, ci), (j, cj) = support
-    row = i if ci > 0 else n + i
-    col = j if cj > 0 else n + j
-    return Matrix.from_entries(
-        2 * n, 2 * n, {(row, col): 1, (col, row): -1}
-    )
-
-
 def _signed_matchings(idx: tuple) -> list[tuple[int, tuple]]:
     """The perfect matchings of idx as (sign, pairs), sign (-1)^crossings,
     in the order of first-row Pfaffian expansion."""
@@ -291,16 +264,6 @@ def _halved_type(m: Matrix) -> Partition:
     if len(jt) % 2 or any(jt[2 * k] != jt[2 * k + 1] for k in range(len(jt) // 2)):
         raise ValueError(f"Jordan type {list(jt)} does not pair up")
     return Partition(jt[0::2])
-
-
-def exotic_jordan(v: ExoticVector) -> Partition:
-    """The halved Jordan type of the endomorphism of v.
-
-    The Jordan type of x2 * J on a cone point has every part with even
-    multiplicity; the partition of n listing each size once per pair is
-    returned.  Raises when v is off the cone or the type does not pair up.
-    """
-    return _halved_type(as_endomorphism(v))
 
 
 def marked_invariant(v: ExoticVector) -> MarkedPartition:

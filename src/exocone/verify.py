@@ -17,7 +17,6 @@ from .algebra import (
     MultiPoly,
     linear_form,
     lowest_term,
-    perm_sign,
     pfaffian,
     rank,
     row_reduce,
@@ -25,11 +24,11 @@ from .algebra import (
 from .charp import verify_transport
 from .joseph import (
     Presentation,
+    _block_product,
     irrep_dim,
     joseph_poly,
     k_polynomial,
     macdonald_poly,
-    macdonald_poly_direct,
     macdonald_span,
 )
 from .nilcone import (
@@ -83,7 +82,19 @@ class _Checks:
         self.lines.append(f"{tag} {label}{suffix}")
 
 
-def pfaffian_term_sum(m: Matrix):
+def _perm_sign(p) -> int:
+    """Sign of a permutation given as a sequence of distinct comparables."""
+    p = tuple(p)
+    inversions = sum(
+        1
+        for a in range(len(p))
+        for b in range(a + 1, len(p))
+        if p[a] > p[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _pfaffian_term_sum(m: Matrix):
     """Pfaffian straight from the definition: (1/n!) times the signed sum
     over all permutations with increasing consecutive pairs of the products
     of pair entries.  Independent of the recursive expansion."""
@@ -99,7 +110,7 @@ def pfaffian_term_sum(m: Matrix):
         prod = 1
         for k in range(half):
             prod = prod * rows[sigma[2 * k]][sigma[2 * k + 1]]
-        total = total + prod * perm_sign(sigma)
+        total = total + prod * _perm_sign(sigma)
     return total * Fraction(1, factorial(half))
 
 
@@ -140,6 +151,22 @@ def _invariant_polys_by_expansion(n: int) -> tuple[MultiPoly, ...]:
     return tuple(
         MultiPoly(nv, buckets.get(n - i, {})) * unit for i in range(1, n + 1)
     )
+
+
+def _macdonald_poly_direct(mu, nu) -> MultiPoly:
+    """The block products of :func:`macdonald_poly` written directly on the
+    two partitions: one square-difference block per part of mu, one per
+    part of nu shifted past |mu|, and the product of all variables past
+    |mu|.
+
+    The mu blocks tile the first |mu| variables with the smallest part
+    first; the nu blocks tile the rest largest part first.  The asymmetry
+    matches the flag-block order of :func:`macdonald_poly`, which walks the
+    mu side of the flag from the shortest column up.  The oracle of the
+    ``dconvention`` suite.
+    """
+    mu, nu = Partition(mu), Partition(nu)
+    return _block_product(mu[::-1], nu)
 
 
 def _scalar_ratio(f: MultiPoly, g: MultiPoly):
@@ -532,7 +559,7 @@ def _suite_pfaffian(long: bool = False) -> _Checks:
         m = _generic_alternating(size)
         c.add(
             f"expansion matches definition, size {size}",
-            pfaffian(m) == pfaffian_term_sum(m),
+            pfaffian(m) == _pfaffian_term_sum(m),
             f"{len(pfaffian(m).terms)} terms",
         )
     rng = random.Random(20260816)
@@ -704,13 +731,13 @@ def _suite_dconvention(long: bool = False) -> _Checks:
     for n in range(7):
         bps = list(bipartitions(n))
         ok_tr = all(
-            macdonald_poly_direct(bp.mu.transpose(), bp.nu.transpose())
+            _macdonald_poly_direct(bp.mu.transpose(), bp.nu.transpose())
             == macdonald_poly(bp)
             for bp in bps
         )
         identity_by_n.append(
             all(
-                macdonald_poly_direct(bp.mu, bp.nu) == macdonald_poly(bp)
+                _macdonald_poly_direct(bp.mu, bp.nu) == macdonald_poly(bp)
                 for bp in bps
             )
         )

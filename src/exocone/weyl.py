@@ -5,8 +5,7 @@ Elements of the Weyl group of type C_n act on Z^n by signed permutation of
 coordinates.  Each marked partition carries a distinguished element
 (:func:`special_element`) whose action cuts out the weights of the attached
 orbital variety (:func:`stable_weights`); :func:`is_stable_weight` computes
-the same set directly from partition arithmetic, and
-:func:`flag_model_weights` gives the two halves of its flag realization.
+the same set directly from partition arithmetic.
 """
 
 from itertools import permutations, product
@@ -300,32 +299,3 @@ def is_stable_weight(mp: MarkedPartition, wt: Iterable[int]) -> bool:
                 return False
     return True
 
-
-def flag_model_weights(mp: MarkedPartition):
-    """The vector and matrix halves of the flag realization.
-
-    Returns (vector weights, matrix weights): the first d_{mu_1} coordinate
-    weights eps_i, and all eps_i - eps_j with i in an earlier flag block
-    than j.
-    """
-    bp = to_bipartition(mp)
-    d = block_boundaries(bp)
-    mu1 = bp.mu.part(1)
-    n = mp.size
-    vec = []
-    for i in range(1, d[mu1] + 1):
-        wt = [0] * n
-        wt[i - 1] = 1
-        vec.append(tuple(wt))
-    mat = []
-    blocks = len(d) - 1
-    for l in range(1, blocks + 1):
-        for m in range(l + 1, blocks + 1):
-            for i in range(d[l - 1] + 1, d[l] + 1):
-                for j in range(d[m - 1] + 1, d[m] + 1):
-                    wt = [0] * n
-                    wt[i - 1], wt[j - 1] = 1, -1
-                    mat.append(tuple(wt))
-    vec.sort(reverse=True)
-    mat.sort(reverse=True)
-    return tuple(vec), tuple(mat)

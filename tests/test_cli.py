@@ -152,6 +152,17 @@ def test_rep(capsys):
     }
 
 
+def test_rep_prints_the_same_point_in_both_formats(capsys):
+    argv = ("rep", "--lambda", "2,1", "--a", "1,0")
+    code, text, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    code, as_json, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert text == as_json
+    point = ExoticVector.from_json(json.loads(text))
+    assert point.n == 3 and point.to_json() == json.loads(as_json)
+
+
 def test_rep_invariant_round_trip(capsys, monkeypatch):
     code, out, _ = run(capsys, "rep", "--lambda", "2", "--a", "1")
     assert code == 0

@@ -10,7 +10,6 @@ from exocone import (
     act_on_poly,
     block_boundaries,
     exotic_weights,
-    flag_model_weights,
     is_stable_weight,
     linear_form,
     marked_partitions,
@@ -170,32 +169,6 @@ def test_stable_weight_predicate_matches_enumeration():
             assert computed == {
                 wt for wt in ambient if is_stable_weight(mp, wt)
             }
-
-
-def test_flag_model_weights_frozen():
-    x1, x2 = flag_model_weights(MarkedPartition((2,), (1,)))
-    assert x1 == ((1, 0),)
-    assert x2 == ((1, -1),)
-    x1, x2 = flag_model_weights(MarkedPartition((1, 1), (0, 1)))
-    assert x1 == ((1, 0), (0, 1))
-    assert x2 == ()
-    x1, x2 = flag_model_weights(MarkedPartition((2, 1), (1, 0)))
-    assert x1 == ((1, 0, 0),)
-    assert x2 == ((1, 0, -1), (1, -1, 0))
-
-
-def test_flag_model_covers_stable_vector_and_difference_weights():
-    # the flag model may add difference weights beyond the stable set, but
-    # must contain every stable eps_i and eps_i - eps_j
-    for n in range(1, 6):
-        for mp in marked_partitions(n):
-            x1, x2 = flag_model_weights(mp)
-            for wt in stable_weights(mp):
-                support = [c for c in wt if c]
-                if support == [1]:
-                    assert wt in x1, (mp, wt)
-                elif sorted(support) == [-1, 1]:
-                    assert wt in x2, (mp, wt)
 
 
 def test_signed_permutation_json():
