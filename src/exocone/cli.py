@@ -4,9 +4,15 @@ Exit codes: 0 on success, 1 when a verification suite fails, 2 on bad
 input.  Every subcommand honours ``--format json`` for machine-readable
 output; the default text forms are stable one-line renderings, except that
 ``rep`` prints the JSON point in both formats, the form ``invariant`` reads.
+
+``main(argv)`` returns the exit code (a command line that argparse itself
+rejects raises ``SystemExit(2)``) and may be called any number of times in
+one process: it builds its argument parser on the first call and reuses it
+after that.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -233,6 +239,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+# Built once per process: parse_args fills a fresh Namespace on every call,
+# and the handlers look up library functions when they run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exocone",

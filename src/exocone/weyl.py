@@ -9,7 +9,7 @@ the same set directly from partition arithmetic.
 """
 
 from itertools import permutations, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .algebra import MultiPoly
 from .partitions import BiPartition, MarkedPartition, Partition, to_bipartition

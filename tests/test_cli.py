@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exocone import ExoticVector, SuiteReport
-from exocone.cli import main
+from exocone.cli import _build_parser, main
+from exocone.verify import suite_names
 
 
 def run(capsys, *argv):
@@ -199,6 +200,7 @@ def test_verify_suite(capsys):
 
 
 def test_verify_suite_json(capsys, monkeypatch):
+    _build_parser()  # the run_suite patch below must reach a cached parser
     code, text, _ = run(capsys, "verify", "--suite", "table-n2")
     code_json, out, _ = run(
         capsys, "verify", "--suite", "table-n2", "--format", "json"
@@ -250,6 +252,48 @@ def test_argparse_failures(capsys):
     capsys.readouterr()
 
 
+def _request(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_holds_no_state_between_requests():
+    assert _build_parser() is _build_parser()
+    point = json.dumps(ExoticVector.zero(2).to_json())
+    requests = [
+        (["dim", "--n", "3"], ""),
+        # a leaked --n would make this dim request exit 2
+        (["dim", "--lambda", "2", "--a", "1"], ""),
+        (["dim", "--n"], ""),  # argparse rejects it
+        (["enumerate", "--n", "2"], ""),
+        (["convert", "--lambda", "2", "--a", "1", "--mu", "1"], ""),  # exit 2
+        (["convert", "--mu", "1", "--nu", "1"], ""),
+        (["dpoly", "--mu", "1,1"], ""),
+        (["joseph", "--n", "2", "--ambient", "ordinary"], ""),
+        (["rep", "--lambda", "2", "--a", "1"], ""),
+        (["invariant"], point),
+        (["special", "--lambda", "2", "--a", "1"], ""),
+        (["count", "--n", "1", "--q", "2"], ""),
+        (["dim", "--n", "3"], ""),
+    ]
+    requests += [(argv + ["--format", "json"], stdin) for argv, stdin in requests]
+    cached = [_request(argv, stdin) for argv, stdin in requests]
+    with mock.patch(
+        "exocone.cli._build_parser", lambda: _build_parser.__wrapped__()
+    ):
+        fresh = [_request(argv, stdin) for argv, stdin in requests]
+    assert cached == fresh
+    codes = [code for code, _, _ in cached]
+    assert codes.count(2) == 4 and codes.count(0) == len(codes) - 4
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "enumerate", "--n", "3", "--format", "json")
     second = run(capsys, "enumerate", "--n", "3", "--format", "json")
@@ -274,9 +318,9 @@ def test_console_script_pipe():
     assert inv.stdout == "lambda=2 a=2\n"
 
 
-# Fuzzed command lines (every subcommand but verify, with option values
-# argparse accepts, passed as --opt=value so a leading "-" is a value) and
-# fuzzed points on the stdin of invariant.
+# Fuzzed command lines (every subcommand, verify with only its fastest
+# suites, with option values argparse accepts, passed as --opt=value so a
+# leading "-" is a value) and fuzzed points on the stdin of invariant.
 _junk = st.text(max_size=8)
 _parts = st.one_of(
     st.lists(st.integers(-3, 25), max_size=6).map(
@@ -337,7 +381,7 @@ def _argv(draw):
     command = draw(
         st.sampled_from(
             ["enumerate", "convert", "dpoly", "joseph", "rep", "dim",
-             "special", "count", "invariant"]
+             "special", "count", "invariant", "verify"]
         )
     )
     argv = [command, f"--format={draw(st.sampled_from(['json', 'text']))}"]
@@ -364,6 +408,13 @@ def _argv(draw):
     elif command == "count":
         argv.append(f"--n={draw(st.integers(-2, 1))}")
         argv.append(f"--q={draw(st.integers(-2, 6))}")
+    elif command == "verify":
+        # each of these suites takes a few ms; a junk name exits 2 in argparse
+        suite = st.sampled_from(["table-n2", "macdonald", "dconvention"])
+        junk = _junk.filter(lambda s: s not in suite_names())
+        argv.append(f"--suite={draw(st.one_of(suite, junk))}")
+        if draw(st.booleans()):
+            argv.append("--long")
     return argv
 
 

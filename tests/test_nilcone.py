@@ -12,7 +12,6 @@ from exocone import (
     Matrix,
     Partition,
     alt_coords,
-    as_endomorphism,
     cone_dim,
     invariant_polys,
     is_in_nilcone,
