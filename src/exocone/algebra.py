@@ -1,6 +1,11 @@
 """Exact arithmetic: multivariate polynomials, Laurent characters of a
 torus, ring-generic matrices, Pfaffians, and nilpotent Jordan data.
 
+MultiPoly and LaurentChar share one term core, _Terms: a dict from key
+tuples to nonzero coefficients with a single zero-dropping merge.  Their
+constructors check outside input; sums, products and negations build their
+results unchecked, since those are normal by construction.
+
 Coefficients stay in int or fractions.Fraction throughout; nothing here
 touches floating point.  Matrix entries only need the ring operations they
 are actually used with, so products and powers run over rationals,
@@ -11,7 +16,7 @@ of :mod:`exocone.joseph` share one fraction-free routine, _echelon_add.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
+from operator import add, neg
 from typing import Iterable
 
 from .partitions import Partition
@@ -19,7 +24,103 @@ from .partitions import Partition
 _SCALARS = (int, Fraction)
 
 
-class MultiPoly:
+def _merge(data: dict, items) -> dict:
+    """Add the (key, coefficient) pairs of items into data, dropping each
+    key whose coefficients sum to zero; returns data."""
+    for key, c in items:
+        acc = data.get(key, 0) + c
+        if acc:
+            data[key] = acc
+        else:
+            data.pop(key, None)
+    return data
+
+
+class _Terms:
+    """The term core of MultiPoly and LaurentChar: ``terms`` maps key
+    tuples of length ``nvars`` to nonzero coefficients.
+
+    A subclass supplies ``_check``, which normalizes one outside term or
+    raises; ``_coerce``, which gives the other operand as an instance of
+    the subclass or None (NotImplemented, as for a different variable
+    count, unless it raised); and ``_scalars``, the types ``==`` reads as
+    constants.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=()):
+        items = terms.items() if isinstance(terms, dict) else terms
+        data = _merge({}, (self._check(nvars, k, c) for k, c in items))
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict):
+        """Wrap terms as they are, without checks or a copy.
+
+        MultiPoly and LaurentChar share this term core: their sums,
+        products and negations build every result here, unchecked, and
+        ``__init__`` checks only outside input.  The caller guarantees
+        that the terms are normal: every key is one that ``__init__``
+        accepts unchanged and every coefficient is nonzero.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "nvars", nvars)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    @classmethod
+    def one(cls, nvars: int):
+        return cls(nvars, {(0,) * nvars: 1})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None or other.nvars != self.nvars:
+            return NotImplemented
+        return self._trusted(
+            self.nvars, _merge(dict(self.terms), other.terms.items())
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._trusted(self.nvars, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def _product(self, other):
+        """The product with other, of the same class and variable count."""
+        pairs = (
+            (tuple(map(add, k1, k2)), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+        )
+        return self._trusted(self.nvars, _merge({}, pairs))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, self._scalars):
+            other = type(self)(self.nvars, {(0,) * self.nvars: other})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class MultiPoly(_Terms):
     """A polynomial in nvars variables with exact coefficients.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  Display and
@@ -27,47 +128,21 @@ class MultiPoly:
     with variable 1 most significant.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
+    _scalars = _SCALARS
 
-    def __init__(self, nvars: int, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        data = {}
-        for exp, c in items:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars:
-                raise ValueError(f"exponent {exp} has length != {nvars}")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
-            acc = data.get(exp, 0) + c
-            if acc:
-                data[exp] = acc
-            else:
-                data.pop(exp, None)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Wrap terms as they are, without checks or a copy.
-
-        The caller guarantees that every key is a tuple of nvars
-        nonnegative ints and every coefficient is nonzero.
-        """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+    @staticmethod
+    def _check(nvars: int, exp, c):
+        exp = tuple(int(e) for e in exp)
+        if len(exp) != nvars:
+            raise ValueError(f"exponent {exp} has length != {nvars}")
+        if any(e < 0 for e in exp):
+            raise ValueError(f"negative exponent in {exp}")
+        return exp, c
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
@@ -90,57 +165,14 @@ class MultiPoly:
             return MultiPoly.constant(self.nvars, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        data = dict(self.terms)
-        for exp, c in other.terms.items():
-            acc = data.get(exp, 0) + c
-            if acc:
-                data[exp] = acc
-            else:
-                data.pop(exp, None)
-        return MultiPoly(self.nvars, data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            if not other:
-                return MultiPoly(self.nvars)
-            return MultiPoly(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
+            return MultiPoly._trusted(
+                self.nvars,
+                {e: c * other for e, c in self.terms.items()} if other else {},
             )
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError("mixed variable counts")
-        data = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = data.get(exp, 0) + c1 * c2
-                if acc:
-                    data[exp] = acc
-                else:
-                    data.pop(exp, None)
-        return MultiPoly(self.nvars, data)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._product(other)
 
     __rmul__ = __mul__
 
@@ -155,18 +187,6 @@ class MultiPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, _SCALARS):
-            return self.terms == MultiPoly.constant(self.nvars, other).terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.text()!r})"
@@ -256,36 +276,21 @@ def linear_form(wt: Iterable[int]) -> MultiPoly:
     )
 
 
-class LaurentChar:
+class LaurentChar(_Terms):
     """A finite integer combination of torus characters e^wt.
 
     ``terms`` maps integer weight tuples to nonzero integer coefficients.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
+    _scalars = (int,)
 
-    def __init__(self, nvars: int, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        data = {}
-        for wt, c in items:
-            wt = tuple(int(w) for w in wt)
-            if len(wt) != nvars:
-                raise ValueError(f"weight {wt} has length != {nvars}")
-            c = int(c)
-            acc = data.get(wt, 0) + c
-            if acc:
-                data[wt] = acc
-            else:
-                data.pop(wt, None)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentChar is immutable")
-
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentChar":
-        return cls(nvars, {(0,) * nvars: 1})
+    @staticmethod
+    def _check(nvars: int, wt, c):
+        wt = tuple(int(w) for w in wt)
+        if len(wt) != nvars:
+            raise ValueError(f"weight {wt} has length != {nvars}")
+        return wt, int(c)
 
     @classmethod
     def euler_factor(cls, wt: Iterable[int]) -> "LaurentChar":
@@ -294,51 +299,13 @@ class LaurentChar:
         n = len(wt)
         return cls(n, [((0,) * n, 1), (tuple(-w for w in wt), -1)])
 
-    def __add__(self, other):
-        if not isinstance(other, LaurentChar) or other.nvars != self.nvars:
-            return NotImplemented
-        data = dict(self.terms)
-        for wt, c in other.terms.items():
-            acc = data.get(wt, 0) + c
-            if acc:
-                data[wt] = acc
-            else:
-                data.pop(wt, None)
-        return LaurentChar(self.nvars, data)
-
-    def __neg__(self):
-        return LaurentChar(self.nvars, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentChar):
-            return NotImplemented
-        return self + (-other)
+    def _coerce(self, other) -> "LaurentChar | None":
+        return other if isinstance(other, LaurentChar) else None
 
     def __mul__(self, other):
         if not isinstance(other, LaurentChar) or other.nvars != self.nvars:
             return NotImplemented
-        data = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                wt = tuple(a + b for a, b in zip(w1, w2))
-                acc = data.get(wt, 0) + c1 * c2
-                if acc:
-                    data[wt] = acc
-                else:
-                    data.pop(wt, None)
-        return LaurentChar(self.nvars, data)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentChar(self.nvars, {(0,) * self.nvars: other})
-        if not isinstance(other, LaurentChar):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self._product(other)
 
     def __repr__(self) -> str:
         return f"LaurentChar({self.nvars}, {dict(self.terms)!r})"

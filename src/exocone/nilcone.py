@@ -347,16 +347,12 @@ def representative(mp: MarkedPartition) -> ExoticVector:
 
 
 def orbit_dim(mp: MarkedPartition) -> int:
-    """Dimension of the orbit labelled by mp: the unmarked flag blocks give
-    4 * sum_{i<j} c_i c_j, the marks add 2 |mu|."""
-    d = block_boundaries(bipartition((), mp.lam))
-    sizes = [d[k + 1] - d[k] for k in range(len(d) - 1)]
-    pairs = sum(
-        sizes[i] * sizes[j]
-        for i in range(len(sizes))
-        for j in range(i + 1, len(sizes))
-    )
-    return 4 * pairs + 2 * to_bipartition(mp).mu.size
+    """Dimension of the orbit labelled by mp: the unmarked flag blocks are
+    the columns c of lam, which give 4 * sum_{i<j} c_i c_j, that is
+    2 (n^2 - sum_j c_j^2); the marks add 2 |mu|."""
+    n = mp.lam.size
+    cols = sum(c * c for c in mp.lam.transpose())
+    return 2 * (n * n - cols) + 2 * to_bipartition(mp).mu.size
 
 
 def cone_dim(n: int) -> int:

@@ -48,6 +48,72 @@ def test_poly_ring_axioms(f, g, h):
     assert f - f == MultiPoly.zero(2)
 
 
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+@st.composite
+def cancelling_pairs(draw, cls, keys, coeffs):
+    """Two term dicts of cls in 2 variables; g often repeats f or -f on
+    part of its support, so that sums and differences cancel."""
+    terms = st.dictionaries(keys, coeffs, max_size=5)
+    f = draw(terms)
+    g = draw(terms)
+    for key, c in f.items():
+        if draw(st.sampled_from(["keep", "same", "negate"])) == "same":
+            g[key] = c
+        elif draw(st.booleans()):
+            g[key] = -c
+    return cls(2, f), cls(2, g)
+
+
+def _assert_normal(r, cls):
+    """r is already what the checked constructor makes of its terms."""
+    assert type(r) is cls
+    rebuilt = cls(r.nvars, r.terms)
+    assert rebuilt == r
+    assert list(rebuilt.terms.items()) == list(r.terms.items())
+    for key, c in r.terms.items():
+        assert c != 0
+        assert isinstance(c, int if cls is LaurentChar else (int, Fraction))
+        assert type(key) is tuple and len(key) == r.nvars
+        assert all(type(e) is int for e in key)
+        if cls is MultiPoly:
+            assert all(e >= 0 for e in key)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    cancelling_pairs(
+        MultiPoly, st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients
+    ),
+    coefficients,
+)
+def test_poly_arithmetic_results_are_normal(pair, c):
+    f, g = pair
+    for r in (f + g, f - g, -f, f * g, c * f, f * c, f**2, 1 - f, f + 1):
+        _assert_normal(r, MultiPoly)
+    assert f - f == 0 and not (f - f).terms
+    assert not (f * 0).terms and not (0 * f).terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cancelling_pairs(
+        LaurentChar,
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        st.integers(-3, 3),
+    )
+)
+def test_char_arithmetic_results_are_normal(pair):
+    f, g = pair
+    for r in (f + g, f - g, -f, f * g, f * f):
+        _assert_normal(r, LaurentChar)
+    assert not (f - f).terms
+
+
 def test_poly_basics():
     x = MultiPoly.variable(1, 2)
     y = MultiPoly.variable(2, 2)
